@@ -8,6 +8,7 @@ from .errors import (
     InexactDivisionError,
     InsufficientSequenceError,
     NonConvergenceError,
+    QWhitneyError,
     UnknownIdentityError,
     ZeroMError,
 )

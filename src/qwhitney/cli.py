@@ -19,7 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, QWhitneyError
 from .identities import (
     DEFAULT_GRID,
     IdentityId,
@@ -269,7 +269,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (QWhitneyError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"qwhitney: {exc}", file=sys.stderr)
         return 2
 

@@ -19,6 +19,7 @@ the independent oracle for every moment formula.
 from __future__ import annotations
 
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,15 +144,22 @@ def direct_moment_oracle(spec: QDistSpec, g: Callable[[int], float],
     """Reference sum_x pmf(x) g(x).
 
     Stops once pmf(x) |g(x)| < tol |partial| for 10 consecutive outcomes;
-    raises NonConvergenceError at the term cap.
+    raises NonConvergenceError at the term cap.  While the partial sum is
+    still exactly 0 and pmf(x) is a normal float, an outcome is not counted
+    as quiet: g may vanish on a leading run (a q-factorial moment of order k
+    is 0 for x < k) with the mass still ahead.  Once pmf(x) is subnormal the
+    tail is negligible, so an identically-zero g still sums to 0.0.
     """
     tol = spec.tol if tol is None else tol
     total = 0.0
     quiet = 0
     stream = _pmf_stream(spec)
     for x in range(spec.term_cap):
-        contribution = next(stream) * g(x)
+        p = next(stream)
+        contribution = p * g(x)
         total += contribution
+        if total == 0.0 and p >= sys.float_info.min:
+            continue
         if abs(contribution) < tol * max(abs(total), 1e-300):
             quiet += 1
             if quiet >= 10:

@@ -4,7 +4,9 @@ The first kind w(n,k) and second kind W(n,k) are the connection coefficients
 between the bases {m^k [x]_q [x-1]_q ... [x-k+1]_q} and {(m[x]_q + r)^k}.
 Everything here is driven by the weight sequence weight(i) = m [i]_q + r:
 
-* triangle builders use the two-term recurrences (the production path);
+* triangle builders use the two-term recurrences (the production path):
+  on symbolic q an integer-row kernel with denominators cleared, in the
+  other modes the recurrence on the mode's scalars;
 * explicit forms (elementary-symmetric, composition enumeration,
   complete-homogeneous, alternating q-binomial sum) recompute single entries
   and exist to cross-check the recurrences;
@@ -21,8 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import accumulate
+from math import comb, lcm
 from .errors import ZeroMError
+from .laurent import LaurentPoly
 from .modes import SYMBOLIC, FloatQ, QMode, Scalar, divide_exact, values_equal
 from .qcore import complete_homogeneous, elementary_symmetric
 from .report import IdentityReport
@@ -89,6 +93,105 @@ class Triangle:
 
 @lru_cache(maxsize=512)
 def _first_rows(params: WhitneyParams, nmax: int, shift: int) -> tuple:
+    if params.qmode is SYMBOLIC:
+        return _first_rows_integer(params, nmax, shift)
+    return _first_rows_recurrence(params, nmax, shift)
+
+
+@lru_cache(maxsize=512)
+def _second_rows(params: WhitneyParams, nmax: int, shift: int) -> tuple:
+    if params.qmode is SYMBOLIC:
+        return _second_rows_integer(params, nmax, shift)
+    return _second_rows_recurrence(params, nmax, shift)
+
+
+# -- integer-row kernel (symbolic q) -------------------------------------------
+#
+# Both kinds are homogeneous of degree n - k in the weights m[i]_q + r, so
+# with d = lcm(den m, den r), M = d m and R = d r the scaled entries
+#
+#     U(n,k) = q^C(n,2) d^(n-k) w(n,k)      V(n,k) = d^(n-k) W(n,k)
+#
+# are polynomials in q with integer coefficients, satisfying
+#
+#     U(n+1,k) = U(n,k-1) - (M[s+n]_q + R) U(n,k)
+#     V(n+1,k) = q^(k-1) V(n,k-1) + (M[s+k]_q + R) V(n,k).
+#
+# Cells are dense int lists indexed by exponent from 0.  Each finished row is
+# converted to LaurentPoly at once; only the previous integer row is kept.
+
+
+def _cleared(params: WhitneyParams) -> tuple[int, int, int]:
+    """(d, d m, d r) with d the least common denominator of m and r."""
+    m, r = params.m, params.r
+    d = lcm(m.denominator, r.denominator)
+    return d, m.numerator * (d // m.denominator), r.numerator * (d // r.denominator)
+
+
+def _times_weight(poly: list, j: int, big_m: int, big_r: int) -> list:
+    """(M [j]_q + R) * poly: one running window sum of width j, then R * poly."""
+    if not poly:
+        return []
+    if j == 0 or not big_m:
+        return [big_r * c for c in poly]
+    padded = poly + [0] * (j - 1)
+    prefix = [0] * j + list(accumulate(padded))
+    return [big_m * (hi - lo) + big_r * c for hi, lo, c in zip(prefix[j:], prefix, padded)]
+
+
+def _combine(a: list, b: list, sign: int, offset: int = 0) -> list:
+    """q^offset * a + sign * b on dense int lists."""
+    out = [0] * offset + a
+    if len(out) < len(b):
+        out.extend([0] * (len(b) - len(out)))
+    for i, c in enumerate(b):
+        out[i] += sign * c
+    return out
+
+
+def _to_laurent(val: int, poly: list, den: int) -> LaurentPoly:
+    if den == 1:
+        return LaurentPoly(val, poly)
+    return LaurentPoly(val, [Fraction(c, den) for c in poly])
+
+
+def _first_rows_integer(params: WhitneyParams, nmax: int, shift: int) -> tuple:
+    d, big_m, big_r = _cleared(params)
+    dpow = [d**e for e in range(nmax + 1)]
+    ints = [[1]]
+    rows = [(LaurentPoly(0, (1,)),)]
+    for n in range(nmax):
+        j = shift + n
+        nxt = [_combine([], _times_weight(ints[0], j, big_m, big_r), -1)]
+        for k in range(1, n + 1):
+            nxt.append(_combine(ints[k - 1], _times_weight(ints[k], j, big_m, big_r), -1))
+        nxt.append(ints[n])
+        ints = nxt
+        val = -comb(n + 1, 2)
+        rows.append(tuple(_to_laurent(val, ints[k], dpow[n + 1 - k]) for k in range(n + 2)))
+    return tuple(rows)
+
+
+def _second_rows_integer(params: WhitneyParams, nmax: int, shift: int) -> tuple:
+    d, big_m, big_r = _cleared(params)
+    dpow = [d**e for e in range(nmax + 1)]
+    ints = [[1]]
+    rows = [(LaurentPoly(0, (1,)),)]
+    for n in range(nmax):
+        nxt = [_times_weight(ints[0], shift, big_m, big_r)]
+        for k in range(1, n + 1):
+            nxt.append(_combine(ints[k - 1], _times_weight(ints[k], shift + k, big_m, big_r),
+                                1, k - 1))
+        nxt.append([0] * n + ints[n])
+        ints = nxt
+        rows.append(tuple(_to_laurent(0, ints[k], dpow[n + 1 - k]) for k in range(n + 2)))
+    return tuple(rows)
+
+
+# -- generic recurrence (every mode; the reference for the integer kernel) ----
+
+
+def _first_rows_recurrence(params: WhitneyParams, nmax: int, shift: int) -> tuple:
     mode = params.qmode
     rows = [(mode.q_power(0),)]
     for n in range(nmax):
@@ -108,8 +211,7 @@ def _first_rows(params: WhitneyParams, nmax: int, shift: int) -> tuple:
     return tuple(rows)
 
 
-@lru_cache(maxsize=512)
-def _second_rows(params: WhitneyParams, nmax: int, shift: int) -> tuple:
+def _second_rows_recurrence(params: WhitneyParams, nmax: int, shift: int) -> tuple:
     mode = params.qmode
     rows = [(mode.q_power(0),)]
     for n in range(nmax):

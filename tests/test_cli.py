@@ -1,7 +1,9 @@
 import json
 from fractions import Fraction
 
+from qwhitney import cli
 from qwhitney.cli import main, parse_table_document, render_table_csv, table_document
+from qwhitney.errors import InexactDivisionError
 from qwhitney.modes import RationalQ
 from qwhitney.whitney import WhitneyParams, whitney_second_triangle
 
@@ -149,6 +151,27 @@ def test_dist_divergent_euler(capsys):
                        "--lambda", "3", "--op", "pmf")
     assert code == 2
     assert "euler" in err
+
+
+def test_dist_nonconvergence_exits_two(capsys):
+    # The normalizing series cannot reach tol 1e-300 within the term cap; the
+    # package error is reported on one line, not as a traceback with exit 1.
+    code, out, err = run(capsys, "dist", "--family", "heine", "--q", "0.999999",
+                         "--lambda", "1000", "--op", "sample", "--tol", "1e-300")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qwhitney: ") and len(err.splitlines()) == 1
+
+
+def test_package_arithmetic_error_exits_two(capsys, monkeypatch):
+    def inexact(*args):
+        raise InexactDivisionError("not divisible")
+
+    monkeypatch.setattr(cli, "hankel_probe", inexact)
+    code, _, err = run(capsys, "hankel", "--m", "1", "--r-values", "0,1",
+                       "--q", "1/2", "--order", "2")
+    assert code == 2
+    assert err == "qwhitney: not divisible\n"
 
 
 def test_dist_pmf_sums_to_one(capsys):

@@ -103,6 +103,39 @@ def test_euler_factorial_moments_are_lambda_powers():
         assert abs(closed - oracle) <= 1e-9 * max(1.0, abs(oracle))
 
 
+def _q_falling(order, q):
+    def g(x):
+        if x < order:
+            return 0.0 if order else 1.0
+        out = 1.0
+        for i in range(order):
+            out *= _qint(x - i, q)
+        return out
+    return g
+
+
+def test_oracle_high_order_euler():
+    # g vanishes on x < 10; those ten exactly-zero terms must not end the sum.
+    spec = QDistSpec("euler", 0.5, 0.4)
+    oracle = direct_moment_oracle(spec, _q_falling(10, spec.q))
+    assert oracle == pytest.approx(1.048576e-4, rel=1e-9)
+    assert oracle == pytest.approx(q_factorial_moment(spec, 10), rel=1e-9)
+
+
+@pytest.mark.parametrize("order", [10, 11, 12])
+def test_oracle_high_order_heine(order):
+    spec = QDistSpec("heine", 0.5, 0.7)
+    oracle = direct_moment_oracle(spec, _q_falling(order, spec.q))
+    assert oracle != 0.0
+    assert oracle == pytest.approx(q_factorial_moment(spec, order), rel=1e-9)
+
+
+def test_oracle_zero_function_sums_to_zero():
+    for spec in (QDistSpec("euler", 0.5, 0.4), QDistSpec("euler", 0.3, 0.8),
+                 QDistSpec("heine", 0.5, 0.7)):
+        assert direct_moment_oracle(spec, lambda x: 0.0) == 0.0
+
+
 def test_heine_factorial_moment_closed_form():
     q, lam = 0.5, 0.7
     spec = QDistSpec("heine", q, lam)

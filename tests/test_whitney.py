@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from qwhitney import whitney
 from qwhitney.errors import ZeroMError
 from qwhitney.laurent import ONE, LaurentPoly, q_monomial
 from qwhitney.modes import FloatQ, RationalQ
@@ -142,6 +143,45 @@ def test_shifted_family_matches_reparameterization():
     for n in range(6):
         for k in range(n + 1):
             assert direct.value(n, k) == shifted.value(n, k)
+
+
+# (m, r) pairs whose common denominator d is 1, 2, 3 and 6, with m = 0 and
+# negative m among them.
+KERNEL_PARAMS = [
+    (Fraction(0), Fraction(0)), (Fraction(0), Fraction(-5, 2)),
+    (Fraction(1), Fraction(0)), (Fraction(-2), Fraction(3)),
+    (Fraction(3, 2), Fraction(5, 2)), (Fraction(-3, 2), Fraction(2)),
+    (Fraction(-1), Fraction(1, 3)), (Fraction(2, 3), Fraction(-4, 3)),
+    (Fraction(-7, 6), Fraction(1, 2)), (Fraction(5, 6), Fraction(-1, 3)),
+]
+
+
+def _exact_form(cell):
+    """Canonical text plus the stored valuation and coefficient types.
+
+    Canonical text alone prints Fraction(3, 1) as "3", so the types are
+    compared too; a stray zero coefficient changes the stored run.
+    """
+    return str(cell), cell.val, [(type(c), c) for c in cell.coeffs]
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+@pytest.mark.parametrize("m,r", KERNEL_PARAMS)
+def test_symbolic_kernel_matches_generic_recurrence(kind, m, r):
+    # Symbolic triangles come from the integer-row kernel; the generic
+    # recurrence, run on Laurent polynomials, is the reference.
+    params = WhitneyParams(m, r)
+    build = whitney_first_triangle if kind == "first" else whitney_second_triangle
+    reference = (whitney._first_rows_recurrence if kind == "first"
+                 else whitney._second_rows_recurrence)
+    for shift, nmax in ((0, 12), (1, 9), (2, 7), (3, 12)):
+        rows = build(params, nmax, shift=shift).rows
+        expect = reference(params, nmax, shift)
+        assert rows == expect
+        for n in range(nmax + 1):
+            assert len(rows[n]) == n + 1
+            for k in range(n + 1):
+                assert _exact_form(rows[n][k]) == _exact_form(expect[n][k]), (shift, n, k)
 
 
 def classical_stirling_second(n, k):
