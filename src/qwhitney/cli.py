@@ -28,8 +28,7 @@ from .identities import (
     verify,
 )
 from .modes import SYMBOLIC, canonical_text, parse_qmode, parse_scalar
-from .qdist import QDistSpec, direct_moment_oracle, q_factorial_moment, sample, whitney_moment
-from .qdist import _pmf_stream, _qint  # shared numeric helpers
+from .qdist import MOMENT_REL_TOL, QDistSpec, _pmf_stream, moment_pairs, sample
 from .whitney import WhitneyParams, whitney_first_triangle, whitney_second_triangle
 
 FORMAT_VERSION = "1"
@@ -219,27 +218,16 @@ def run_dist(args) -> int:
         return 0
     if args.op == "moments":
         top = 3 if args.n is None else args.n
-        m = float(args.m)
-        r = float(args.r)
-        q = spec.q
-        for k in range(top + 1):
-            closed = q_factorial_moment(spec, k)
-
-            def falling(x: int, k: int = k) -> float:
-                if x < k:
-                    return 0.0 if k else 1.0
-                out = 1.0
-                for i in range(k):
-                    out *= _qint(x - i, q)
-                return out
-
-            oracle = direct_moment_oracle(spec, falling)
-            print(f"factorial\t{k}\t{_fmt(closed)}\t{_fmt(oracle)}\t{_fmt(abs(closed - oracle))}")
-        for n in range(top + 1):
-            value = whitney_moment(spec, m, r, n)
-            oracle = direct_moment_oracle(
-                spec, lambda x: (m * _qint(x, q) + r) ** n)
-            print(f"whitney\t{n}\t{_fmt(value)}\t{_fmt(oracle)}\t{_fmt(abs(value - oracle))}")
+        violation = None
+        for kind, k, closed, oracle in moment_pairs(spec, float(args.m), float(args.r), top):
+            gap = abs(closed - oracle)
+            print(f"{kind}\t{k}\t{_fmt(closed)}\t{_fmt(oracle)}\t{_fmt(gap)}")
+            if violation is None and not gap <= MOMENT_REL_TOL * max(abs(closed), abs(oracle)):
+                violation = (f"{kind} moment {k}: closed form {_fmt(closed)} and oracle "
+                             f"{_fmt(oracle)} differ by more than {MOMENT_REL_TOL} relative")
+        if violation is not None:
+            print(f"qwhitney: {violation}", file=sys.stderr)
+            return 1
         return 0
     draws = sample(spec, args.count, args.seed)
     for value in draws:

@@ -1,9 +1,18 @@
 """Exact Laurent polynomials in a single variable q.
 
-Coefficients are exact rationals (`int` where possible, `fractions.Fraction`
-otherwise).  A polynomial is stored densely as a valuation plus the coefficient
-run from that exponent upward; the zero polynomial is the empty run.  All
-operations are pure, and equality is exact term-by-term equality.
+A polynomial is stored in primitive form: a valuation `val`, a tuple `nums`
+of `int` numerators for the exponents val, val+1, ..., and one shared
+denominator `den` > 0, so the value is sum_i nums[i] / den * q^(val+i).  The
+form is normalised: neither end of `nums` is zero and
+gcd(den, *nums) == 1; the zero polynomial is (0, (), 1).  Being canonical,
+equality is a tuple comparison.
+
+The ring operations run on ints alone (content and primitive part, Knuth,
+TAOCP vol. 2, section 4.6.1): a product is an int convolution over
+den * den, a sum adds numerators over a common denominator, and one
+variadic gcd restores the form.  `coeffs` is derived on demand for readers
+that want rational coefficients: `int` where a coefficient is integral, a
+reduced `fractions.Fraction` otherwise.  All operations are pure.
 
 The canonical text form lists terms by ascending exponent as
 ``<num>/<den>*q^<exp>`` joined by `` + ``, omitting ``/<den>`` when the
@@ -13,25 +22,13 @@ denominator is 1 and ``*q^0`` entirely, e.g. ``-1*q^-1 + 2 + 1/3*q^2``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Union
 
 from .errors import EvalAtZeroError, InexactDivisionError
 
 Rational = Union[int, Fraction]
-
-
-def _norm_coeff(c):
-    """Collapse Fractions with denominator 1 to int (fast path for products)."""
-    if type(c) is int:
-        return c
-    if c.denominator == 1:
-        return c.numerator
-    return c
-
-
-def _div_coeff(a, b):
-    q = Fraction(a) / b
-    return q.numerator if q.denominator == 1 else q
 
 
 class LaurentPoly:
@@ -40,29 +37,26 @@ class LaurentPoly:
     >>> p = q_monomial(-1, -1) + 2 + Fraction(1, 3) * q_monomial(2)
     >>> str(p)
     '-1*q^-1 + 2 + 1/3*q^2'
+    >>> (p.val, p.nums, p.den)
+    (-1, (-3, 6, 0, 1), 3)
     >>> p.evaluate(Fraction(1, 2))
     Fraction(1, 12)
     """
 
-    __slots__ = ("val", "coeffs")
+    __slots__ = ("val", "nums", "den")
 
     def __init__(self, val: int, coeffs: Iterable[Rational]):
-        coeffs = [_norm_coeff(c) for c in coeffs]
-        lo, hi = 0, len(coeffs)
-        while lo < hi and not coeffs[lo]:
-            lo += 1
-            val += 1
-        while lo < hi and not coeffs[hi - 1]:
-            hi -= 1
-        if lo == hi:
-            object.__setattr__(self, "val", 0)
-            object.__setattr__(self, "coeffs", ())
-        else:
-            object.__setattr__(self, "val", val)
-            object.__setattr__(self, "coeffs", tuple(coeffs[lo:hi]))
+        coeffs = list(coeffs)
+        den = lcm(*(c.denominator for c in coeffs))
+        _fill(self, val, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    @classmethod
+    def _from_ints(cls, val: int, nums: list, den: int) -> "LaurentPoly":
+        """sum_i nums[i] / den * q^(val+i) from int numerators and an int den != 0."""
+        return _fill(_new(cls), val, nums, den)
 
     @classmethod
     def from_terms(cls, terms: dict[int, Rational]) -> "LaurentPoly":
@@ -76,15 +70,23 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, c: Rational) -> "LaurentPoly":
-        return cls(0, (c,))
+        return cls._from_ints(0, [c.numerator], c.denominator)
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """Coefficients from exponent val upward: int if integral, else Fraction."""
+        den = self.den
+        if den == 1:
+            return self.nums
+        return tuple([_rational(c, den) for c in self.nums])
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     @property
     def valuation(self) -> int:
@@ -94,36 +96,37 @@ class LaurentPoly:
     @property
     def degree(self) -> int:
         """Highest exponent (-1 for the zero polynomial, by convention)."""
-        return self.val + len(self.coeffs) - 1 if self.coeffs else -1
+        return self.val + len(self.nums) - 1 if self.nums else -1
 
     def terms(self) -> list[tuple[int, Rational]]:
         """(exponent, coefficient) pairs, ascending, zero coefficients skipped."""
-        return [(self.val + i, c) for i, c in enumerate(self.coeffs) if c]
+        return [(e, c) for e, c in enumerate(self.coeffs, self.val) if c]
 
     def coefficient(self, exponent: int) -> Rational:
         i = exponent - self.val
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.nums):
+            return _rational(self.nums[i], self.den)
         return 0
 
     # -- equality / hashing --------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
-            return self.val == other.val and self.coeffs == other.coeffs
+            return self.val == other.val and self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
-            if not self.coeffs:
+            if not self.nums:
                 return other == 0
-            return self.val == 0 and len(self.coeffs) == 1 and self.coeffs[0] == other
+            return (self.val == 0 and len(self.nums) == 1
+                    and self.nums[0] == other.numerator and self.den == other.denominator)
         return NotImplemented
 
     def __hash__(self):
         # Constant polynomials hash like their value so == stays hash-consistent.
-        if not self.coeffs:
+        if not self.nums:
             return hash(0)
-        if self.val == 0 and len(self.coeffs) == 1:
-            return hash(self.coeffs[0])
-        return hash((self.val, self.coeffs))
+        if self.val == 0 and len(self.nums) == 1:
+            return hash(self.nums[0] if self.den == 1 else Fraction(self.nums[0], self.den))
+        return hash((self.val, self.nums, self.den))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -132,32 +135,38 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return LaurentPoly(0, (other,))
+            return LaurentPoly.constant(other)
         return None
 
     def __add__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if not self.coeffs:
+        if not self.nums:
             return rhs
-        if not rhs.coeffs:
+        if not rhs.nums:
             return self
-        lo = min(self.val, rhs.val)
-        hi = max(self.val + len(self.coeffs), rhs.val + len(rhs.coeffs))
-        out = [0] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            out[self.val - lo + i] += c
-        for i, c in enumerate(rhs.coeffs):
-            out[rhs.val - lo + i] += c
-        return LaurentPoly(lo, out)
+        lo, hi = (self, rhs) if self.val <= rhs.val else (rhs, self)
+        a, b, den = lo.nums, hi.nums, lo.den
+        if hi.den != den:
+            common = lcm(den, hi.den)
+            a = [c * (common // den) for c in a]
+            b = [c * (common // hi.den) for c in b]
+            den = common
+        out = list(a)
+        off = hi.val - lo.val
+        end = off + len(b)
+        if end > len(out):
+            out.extend([0] * (end - len(out)))
+        out[off:end] = map(add, out[off:end], b)
+        return _fill(_new(LaurentPoly), lo.val, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if not self.coeffs:
+        if not self.nums:
             return self
-        return LaurentPoly(self.val, [-c for c in self.coeffs])
+        return _store(_new(LaurentPoly), self.val, tuple([-c for c in self.nums]), self.den)
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -173,21 +182,27 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            a, b = self.coeffs, other.coeffs
+            a, b = self.nums, other.nums
             if not a or not b:
                 return ZERO
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ci in enumerate(a):
-                if ci:
-                    off = i
-                    for j, cj in enumerate(b):
-                        if cj:
-                            out[off + j] += ci * cj
-            return LaurentPoly(self.val + other.val, out)
+            if len(a) == 1:
+                c = a[0]
+                out = [c * x for x in b]
+            elif len(b) == 1:
+                c = b[0]
+                out = [c * x for x in a]
+            else:
+                out = [0] * (len(a) + len(b) - 1)
+                for i, ci in enumerate(a):
+                    for j, cj in enumerate(b, i):
+                        out[j] += ci * cj
+            return _fill(_new(LaurentPoly), self.val + other.val, out, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            if not other or not self.coeffs:
+            if not other or not self.nums:
                 return ZERO
-            return LaurentPoly(self.val, [c * other for c in self.coeffs])
+            num = other.numerator
+            return _fill(_new(LaurentPoly), self.val, [c * num for c in self.nums],
+                         self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -196,9 +211,8 @@ class LaurentPoly:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            if len(self.coeffs) == 1:
-                c = Fraction(1, 1) / Fraction(self.coeffs[0]) ** (-n)
-                return LaurentPoly(self.val * n, (c,))
+            if len(self.nums) == 1:
+                return LaurentPoly._from_ints(self.val * n, [self.den ** -n], self.nums[0] ** -n)
             raise InexactDivisionError(
                 "negative power of a non-monomial Laurent polynomial"
             )
@@ -219,13 +233,14 @@ class LaurentPoly:
         when no Laurent quotient exists.
         """
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly(0, (other,))
-        if not other.coeffs:
+            other = LaurentPoly.constant(other)
+        if not other.nums:
             raise ZeroDivisionError("Laurent division by zero")
-        if not self.coeffs:
+        if not self.nums:
             return ZERO
-        rem = list(self.coeffs)
-        div = other.coeffs
+        # self / other = (nums / other.nums) * (other.den / self.den)
+        rem = list(self.nums)
+        div = other.nums
         nq = len(rem) - len(div) + 1
         if nq <= 0:
             raise InexactDivisionError(f"{self} is not divisible by {other}")
@@ -234,14 +249,15 @@ class LaurentPoly:
         for i in range(nq - 1, -1, -1):
             c = rem[i + len(div) - 1]
             if c:
-                f = _div_coeff(c, lead)
+                f = Fraction(c, lead)
                 quo[i] = f
                 for j, d in enumerate(div):
                     if d:
                         rem[i + j] -= f * d
         if any(rem[: len(div) - 1]):
             raise InexactDivisionError(f"{self} is not divisible by {other}")
-        return LaurentPoly(self.val - other.val, quo)
+        scale = Fraction(other.den, self.den)
+        return LaurentPoly(self.val - other.val, [f * scale for f in quo])
 
     def __truediv__(self, other):
         if isinstance(other, LaurentPoly):
@@ -249,9 +265,11 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("Laurent division by zero")
-            if not self.coeffs:
+            if not self.nums:
                 return ZERO
-            return LaurentPoly(self.val, [_div_coeff(c, other) for c in self.coeffs])
+            den = other.denominator
+            return _fill(_new(LaurentPoly), self.val, [c * den for c in self.nums],
+                         self.den * other.numerator)
         return NotImplemented
 
     # -- evaluation ----------------------------------------------------------
@@ -263,33 +281,82 @@ class LaurentPoly:
         """
         if isinstance(q0, int):
             q0 = Fraction(q0)
-        if not self.coeffs:
+        nums, den = self.nums, self.den
+        if not nums:
             return q0 * 0
         if q0 == 0:
             if self.val < 0:
                 raise EvalAtZeroError("pole at q = 0")
-            c0 = self.coeffs[0] if self.val == 0 else 0
-            return c0 + q0 * 0
+            return self.coefficient(0) + q0 * 0
         acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * q0 + c
-        res = acc * q0**self.val
-        if isinstance(res, Fraction):
-            return res
-        return res
+        if isinstance(q0, Fraction):
+            for c in reversed(nums):
+                acc = acc * q0 + c
+            return acc / den * q0**self.val
+        # Float q0: int true division rounds correctly, exactly as
+        # float(Fraction(c, den)) does, so each step matches a Horner loop
+        # over the rational coefficients bit for bit.
+        for c in reversed(nums):
+            acc = acc * q0 + c / den
+        return acc * q0**self.val
 
     # -- text ----------------------------------------------------------------
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "0"
+        den = self.den
         parts = []
-        for e, c in self.terms():
-            parts.append(str(c) if e == 0 else f"{c}*q^{e}")
+        for e, c in enumerate(self.nums, self.val):
+            if not c:
+                continue
+            g = gcd(c, den)
+            text = str(c // g) if g == den else f"{c // g}/{den // g}"
+            parts.append(text if e == 0 else f"{text}*q^{e}")
         return " + ".join(parts)
 
     def __repr__(self):
         return f"LaurentPoly({self!s})"
+
+
+_new = object.__new__
+_set_val = LaurentPoly.val.__set__
+_set_nums = LaurentPoly.nums.__set__
+_set_den = LaurentPoly.den.__set__
+
+
+def _store(p: LaurentPoly, val: int, nums: tuple, den: int) -> LaurentPoly:
+    """Write fields that are already in primitive form."""
+    _set_val(p, val)
+    _set_nums(p, nums)
+    _set_den(p, den)
+    return p
+
+
+def _fill(p: LaurentPoly, val: int, nums: list, den: int) -> LaurentPoly:
+    """Store nums / den * q^val in p in primitive form (den may be negative)."""
+    lo, hi = 0, len(nums)
+    while lo < hi and not nums[lo]:
+        lo += 1
+    while lo < hi and not nums[hi - 1]:
+        hi -= 1
+    if lo == hi:
+        return _store(p, 0, (), 1)
+    if lo or hi < len(nums):
+        nums = nums[lo:hi]
+    if den < 0:
+        den = -den
+        nums = [-c for c in nums]
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [c // g for c in nums]
+    return _store(p, val + lo, tuple(nums), den)
+
+
+def _rational(c: int, den: int) -> Rational:
+    return c // den if c % den == 0 else Fraction(c, den)
 
 
 ZERO = LaurentPoly(0, ())
@@ -303,11 +370,10 @@ def q_monomial(e: int, coeff: Rational = 1) -> LaurentPoly:
 
 def as_laurent(x) -> LaurentPoly:
     """Coerce an exact scalar (int, Fraction, LaurentPoly) to a LaurentPoly."""
-    if isinstance(x, LaurentPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return LaurentPoly(0, (x,))
-    raise TypeError(f"cannot interpret {type(x).__name__} as a Laurent polynomial")
+    p = LaurentPoly._coerce(x)
+    if p is None:
+        raise TypeError(f"cannot interpret {type(x).__name__} as a Laurent polynomial")
+    return p
 
 
 def exact_div(a, b) -> LaurentPoly:

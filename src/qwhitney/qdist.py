@@ -139,6 +139,35 @@ def whitney_moment(spec: QDistSpec, m: float, r: float, n: int) -> float:
     return total
 
 
+#: Relative bound |closed - oracle| <= MOMENT_REL_TOL * max(|closed|, |oracle|)
+#: that a moment formula must meet against the direct series.
+MOMENT_REL_TOL = 1e-9
+
+
+def moment_pairs(spec: QDistSpec, m: float, r: float,
+                 top: int) -> Iterator[tuple[str, int, float, float]]:
+    """(kind, k, closed form, direct oracle) for k = 0..top of each kind.
+
+    kind "factorial" is E[[X]_q [X-1]_q ... [X-k+1]_q] from
+    q_factorial_moment; kind "whitney" is E[(m [X]_q + r)^k] from
+    whitney_moment.  Each oracle is direct_moment_oracle over the pmf.
+    """
+    q = spec.q
+    for k in range(top + 1):
+        def falling(x: int, k: int = k) -> float:
+            if x < k:
+                return 0.0
+            out = 1.0
+            for i in range(k):
+                out *= _qint(x - i, q)
+            return out
+
+        yield "factorial", k, q_factorial_moment(spec, k), direct_moment_oracle(spec, falling)
+    for n in range(top + 1):
+        yield ("whitney", n, whitney_moment(spec, m, r, n),
+               direct_moment_oracle(spec, lambda x, n=n: (m * _qint(x, q) + r) ** n))
+
+
 def direct_moment_oracle(spec: QDistSpec, g: Callable[[int], float],
                          tol: float | None = None) -> float:
     """Reference sum_x pmf(x) g(x).

@@ -118,7 +118,8 @@ def _second_rows(params: WhitneyParams, nmax: int, shift: int) -> tuple:
 #     V(n+1,k) = q^(k-1) V(n,k-1) + (M[s+k]_q + R) V(n,k).
 #
 # Cells are dense int lists indexed by exponent from 0.  Each finished row is
-# converted to LaurentPoly at once; only the previous integer row is kept.
+# handed to LaurentPoly at once, as int numerators over d^(n-k); only the
+# previous integer row is kept.
 
 
 def _cleared(params: WhitneyParams) -> tuple[int, int, int]:
@@ -149,12 +150,6 @@ def _combine(a: list, b: list, sign: int, offset: int = 0) -> list:
     return out
 
 
-def _to_laurent(val: int, poly: list, den: int) -> LaurentPoly:
-    if den == 1:
-        return LaurentPoly(val, poly)
-    return LaurentPoly(val, [Fraction(c, den) for c in poly])
-
-
 def _first_rows_integer(params: WhitneyParams, nmax: int, shift: int) -> tuple:
     d, big_m, big_r = _cleared(params)
     dpow = [d**e for e in range(nmax + 1)]
@@ -168,7 +163,8 @@ def _first_rows_integer(params: WhitneyParams, nmax: int, shift: int) -> tuple:
         nxt.append(ints[n])
         ints = nxt
         val = -comb(n + 1, 2)
-        rows.append(tuple(_to_laurent(val, ints[k], dpow[n + 1 - k]) for k in range(n + 2)))
+        rows.append(tuple(LaurentPoly._from_ints(val, ints[k], dpow[n + 1 - k])
+                          for k in range(n + 2)))
     return tuple(rows)
 
 
@@ -184,7 +180,8 @@ def _second_rows_integer(params: WhitneyParams, nmax: int, shift: int) -> tuple:
                                 1, k - 1))
         nxt.append([0] * n + ints[n])
         ints = nxt
-        rows.append(tuple(_to_laurent(0, ints[k], dpow[n + 1 - k]) for k in range(n + 2)))
+        rows.append(tuple(LaurentPoly._from_ints(0, ints[k], dpow[n + 1 - k])
+                          for k in range(n + 2)))
     return tuple(rows)
 
 
@@ -424,14 +421,23 @@ def defining_relation_check(params: WhitneyParams, ell: int, n: int,
     w = whitney_first_triangle(params, n)
     lhs1 = mval**n * _q_falling(mode, ell, n)
     rhs1 = 0
+    base_k = mode.q_power(0)
     for k in range(n + 1):
-        rhs1 = rhs1 + w.value(n, k) * base**k
+        if k:
+            base_k = base_k * base
+        rhs1 = rhs1 + w.value(n, k) * base_k
 
     W = whitney_second_triangle(params, n)
     lhs2 = base**n
     rhs2 = 0
+    m_k = mval**0
+    falling = mode.q_power(0)
     for k in range(n + 1):
-        rhs2 = rhs2 + mval**k * W.value(n, k) * _q_falling(mode, ell, k)
+        if k:
+            m_k = m_k * mval
+            if k <= ell + 1:  # [ell - k + 1]_q is 0 at k = ell + 1, and 0 stays 0
+                falling = falling * mode.q_int(ell - k + 1)
+        rhs2 = rhs2 + m_k * W.value(n, k) * falling
 
     return [
         IdentityReport("defining_first", params.point(ell=ell, n=n), lhs1, rhs1,

@@ -1,7 +1,9 @@
 import json
 from fractions import Fraction
 
-from qwhitney import cli
+import pytest
+
+from qwhitney import cli, qdist
 from qwhitney.cli import main, parse_table_document, render_table_csv, table_document
 from qwhitney.errors import InexactDivisionError
 from qwhitney.modes import RationalQ
@@ -144,6 +146,56 @@ def test_dist_moments_deltas_small(capsys):
         assert float(row[4]) < 1e-9
     lam_rows = [row for row in rows if row[0] == "factorial"]
     assert float(lam_rows[3][2]) == 0.4**3
+
+
+def _moment_rows(spec, m, r, top):
+    """The rows `dist --op moments` prints, composed from the public qdist functions."""
+    def qint(n):
+        return (1.0 - spec.q**n) / (1.0 - spec.q)
+
+    def falling(order):
+        def g(x):
+            out = 1.0
+            for i in range(order):
+                out *= qint(x - i)
+            return out if x >= order else 0.0
+        return g
+
+    rows = []
+    for k in range(top + 1):
+        a, b = qdist.q_factorial_moment(spec, k), qdist.direct_moment_oracle(spec, falling(k))
+        rows.append(("factorial", k, a, b))
+    for n in range(top + 1):
+        a = qdist.whitney_moment(spec, m, r, n)
+        b = qdist.direct_moment_oracle(spec, lambda x: (m * qint(x) + r) ** n)
+        rows.append(("whitney", n, a, b))
+    fmt = "{:.17g}".format
+    return "".join(f"{kind}\t{k}\t{fmt(a)}\t{fmt(b)}\t{fmt(abs(a - b))}\n"
+                   for kind, k, a, b in rows)
+
+
+@pytest.mark.parametrize("family,q,lam,m,r", [
+    ("heine", "0.5", "0.7", "3/2", "5/2"),
+    ("euler", "0.3", "0.8", "2", "1"),
+])
+def test_dist_moments_rows_at_order_12(capsys, family, q, lam, m, r):
+    code, out, err = run(capsys, "dist", "--family", family, "--q", q, "--lambda", lam,
+                         "--op", "moments", "--n", "12", "--m", m, "--r", r)
+    assert (code, err) == (0, "")
+    spec = qdist.QDistSpec(family, float(q), float(lam))
+    assert out == _moment_rows(spec, float(Fraction(m)), float(Fraction(r)), 12)
+
+
+def test_dist_moments_violation_exits_one(capsys, monkeypatch):
+    oracle = qdist.direct_moment_oracle
+    monkeypatch.setattr(qdist, "direct_moment_oracle",
+                        lambda spec, g, tol=None: oracle(spec, g, tol) * (1.0 + 1e-6))
+    code, out, err = run(capsys, "dist", "--family", "euler", "--q", "0.5",
+                         "--lambda", "0.4", "--op", "moments", "--n", "3")
+    assert code == 1
+    assert len(out.splitlines()) == 8
+    assert err.startswith("qwhitney: factorial moment 0: closed form 1 and oracle ")
+    assert len(err.splitlines()) == 1
 
 
 def test_dist_divergent_euler(capsys):

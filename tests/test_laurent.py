@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qwhitney.errors import EvalAtZeroError, InexactDivisionError
@@ -135,9 +136,10 @@ def test_evaluate_is_a_ring_homomorphism(a, b, q0):
 
 
 @settings(max_examples=150)
-@given(polys)
-def test_canonical_text_round_trip(p):
-    assert parse_laurent(str(p)) == p
+@given(polys, polys)
+def test_canonical_text_round_trip(p, b):
+    for value in (p, p * b - p):
+        assert parse_laurent(str(value)) == value
 
 
 def test_doctests_pass():
@@ -146,3 +148,113 @@ def test_doctests_pass():
     import qwhitney.laurent as mod
 
     assert doctest.testmod(mod).failed == 0
+
+
+# -- differential tests against sympy.Poly -------------------------------------
+#
+# A Laurent polynomial p is compared as the ordinary polynomial p * q^shift,
+# with shift large enough to clear every negative exponent.
+
+SHIFT = 12
+
+
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def _poly(sp, p, shift=SHIFT):
+    """sympy.Poly of p * q^shift over QQ."""
+    terms = {(e + shift,): sp.Rational(c.numerator, c.denominator) for e, c in p.terms()}
+    return sp.Poly.from_dict(terms, sp.Symbol("q"), domain=sp.QQ)
+
+
+def _assert_primitive_form(p):
+    assert type(p.val) is int and type(p.den) is int and p.den > 0
+    assert all(type(c) is int for c in p.nums)
+    if not p.nums:
+        assert (p.val, p.nums, p.den) == (0, (), 1)
+        return
+    assert p.nums[0] and p.nums[-1]
+    assert math.gcd(p.den, *p.nums) == 1
+    for c in p.coeffs:
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+
+
+@settings(max_examples=150)
+@given(polys, polys)
+def test_ring_ops_match_sympy(sp, a, b):
+    pa, pb = _poly(sp, a), _poly(sp, b)
+    for result, expected in ((a + b, pa + pb), (a - b, pa - pb), (-a, -pa)):
+        _assert_primitive_form(result)
+        assert _poly(sp, result) == expected
+    product = a * b
+    _assert_primitive_form(product)
+    assert _poly(sp, product, 2 * SHIFT) == pa * pb
+
+
+@settings(max_examples=60)
+@given(polys, st.integers(min_value=0, max_value=4))
+def test_pow_matches_sympy(sp, a, n):
+    result = a**n
+    _assert_primitive_form(result)
+    assert _poly(sp, result, n * SHIFT) == _poly(sp, a) ** n
+
+
+@settings(max_examples=150)
+@given(polys, polys.filter(bool), st.booleans())
+def test_exact_div_matches_sympy(sp, a, b, multiple):
+    if multiple:
+        a = a * b
+    if not a:
+        assert a.exact_div(b) == ZERO
+        return
+    # Dividing the q-free parts decides divisibility; the quotient's
+    # valuation is the difference of the valuations.
+    quo, rem = sp.div(_poly(sp, a, -a.val), _poly(sp, b, -b.val))
+    if rem.is_zero:
+        result = a.exact_div(b)
+        _assert_primitive_form(result)
+        assert _poly(sp, result, b.val - a.val) == quo
+    else:
+        assert not multiple
+        with pytest.raises(InexactDivisionError):
+            a.exact_div(b)
+
+
+nonzero_rationals = rationals.filter(bool)
+
+
+@settings(max_examples=150)
+@given(polys, nonzero_rationals)
+def test_evaluate_at_fraction_matches_sympy(sp, p, q0):
+    value = p.evaluate(q0)
+    assert type(value) is Fraction
+    expected = _poly(sp, p).eval(sp.Rational(q0.numerator, q0.denominator))
+    assert value == Fraction(int(expected.p), int(expected.q)) / q0**SHIFT
+
+
+def _horner_over_fractions(p, q0):
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * q0 + c
+    return acc * q0**p.val
+
+
+float_qs = st.floats(min_value=0.05, max_value=3.0) | st.floats(min_value=-3.0, max_value=-0.05)
+
+
+@settings(max_examples=200)
+@given(polys, polys, float_qs)
+def test_float_evaluate_is_bit_identical_to_fraction_horner(a, b, q0):
+    p = a * b + a
+    assume(p)
+    assert p.evaluate(q0).hex() == float(_horner_over_fractions(p, q0)).hex()
+
+
+@settings(max_examples=100)
+@given(rationals, polys)
+def test_constants_hash_like_their_value(c, p):
+    for const in (LaurentPoly.constant(c), p - p + c, (p + c) - p):
+        _assert_primitive_form(const)
+        assert const == c and hash(const) == hash(c)
