@@ -33,6 +33,10 @@ from .whitney import WhitneyParams, whitney_first_triangle, whitney_second_trian
 
 FORMAT_VERSION = "1"
 
+#: Draws written per stdout write by `dist --op sample`; one batch's text is
+#: the largest string the output step holds, so peak memory stays flat.
+SAMPLE_BATCH = 4096
+
 
 def _rational(text: str) -> Fraction:
     try:
@@ -230,8 +234,9 @@ def run_dist(args) -> int:
             return 1
         return 0
     draws = sample(spec, args.count, args.seed)
-    for value in draws:
-        print(value)
+    labels = [f"{x}\n" for x in range(max(draws, default=-1) + 1)]
+    for start in range(0, len(draws), SAMPLE_BATCH):
+        sys.stdout.write("".join(map(labels.__getitem__, draws[start:start + SAMPLE_BATCH])))
     return 0
 
 

@@ -119,9 +119,7 @@ class FloatQ:
         return self.q0**e
 
     def q_int(self, n: int) -> float:
-        if self.q0 == 1.0:
-            return float(n)
-        return (1.0 - self.q0**n) / (1.0 - self.q0)
+        return qcore._float_q_int(n, self.q0)
 
     def q_factorial(self, n: int) -> float:
         out = 1.0

@@ -23,12 +23,13 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import repeat
+from math import comb, inf
 from typing import Callable, Iterator
 
 from .errors import DomainError, NonConvergenceError
 from .modes import SYMBOLIC
-from .qcore import q_exp, q_exp_hat
+from .qcore import _float_q_int, q_exp, q_exp_hat
 from .whitney import WhitneyParams, whitney_second_triangle
 
 FAMILIES = ("heine", "euler")
@@ -72,10 +73,6 @@ class QDistSpec:
         return self.lam
 
 
-def _qint(n: int, q: float) -> float:
-    return (1.0 - q**n) / (1.0 - q)
-
-
 def _normalizer(spec: QDistSpec) -> float:
     if spec.family == "heine":
         return 1.0 / q_exp_hat(spec.lam, spec.q, spec.tol, term_cap=spec.term_cap)
@@ -89,7 +86,7 @@ def _pmf_stream(spec: QDistSpec) -> Iterator[float]:
     while True:
         yield value
         x += 1
-        step = spec.lam / _qint(x, spec.q)
+        step = spec.lam / _float_q_int(x, spec.q)
         if spec.family == "heine":
             step *= spec.q ** (x - 1)
         value *= step
@@ -159,13 +156,13 @@ def moment_pairs(spec: QDistSpec, m: float, r: float,
                 return 0.0
             out = 1.0
             for i in range(k):
-                out *= _qint(x - i, q)
+                out *= _float_q_int(x - i, q)
             return out
 
         yield "factorial", k, q_factorial_moment(spec, k), direct_moment_oracle(spec, falling)
     for n in range(top + 1):
         yield ("whitney", n, whitney_moment(spec, m, r, n),
-               direct_moment_oracle(spec, lambda x, n=n: (m * _qint(x, q) + r) ** n))
+               direct_moment_oracle(spec, lambda x, n=n: (m * _float_q_int(x, q) + r) ** n))
 
 
 def direct_moment_oracle(spec: QDistSpec, g: Callable[[int], float],
@@ -227,7 +224,7 @@ def series_moment(spec: QDistSpec, m: float, r: float, n: int,
         quiet = 0
         ell = 0
         while True:
-            term = lam**ell / fact * (m * _qint(ell, q) + r) ** n
+            term = lam**ell / fact * (m * _float_q_int(ell, q) + r) ** n
             total += term
             if upper == "truncated":
                 if ell == n:
@@ -242,12 +239,12 @@ def series_moment(spec: QDistSpec, m: float, r: float, n: int,
                 if ell >= spec.term_cap:
                     raise NonConvergenceError("euler moment series did not settle")
             ell += 1
-            fact *= _qint(ell, q)
+            fact *= _float_q_int(ell, q)
 
     def qfact(k: int) -> float:
         out = 1.0
         for i in range(1, k + 1):
-            out *= _qint(i, q)
+            out *= _float_q_int(i, q)
         return out
 
     total = 0.0
@@ -263,7 +260,7 @@ def series_moment(spec: QDistSpec, m: float, r: float, n: int,
             prod = 1.0
             for j in range(1, ell + i + 1):
                 prod *= 1.0 + lam * (1.0 - q) * q ** (j - 1)
-            total += factor * lam**ell / den * (m * _qint(ell, q) + r) ** n / prod
+            total += factor * lam**ell / den * (m * _float_q_int(ell, q) + r) ** n / prod
     return total
 
 
@@ -271,7 +268,9 @@ def sample(spec: QDistSpec, count: int, seed: int) -> list[int]:
     """Inverse-CDF draws, deterministic for a fixed seed.
 
     The cumulative table is cut off once it reaches 1 - 1e-12; draws past
-    the cutoff clamp to the last tabulated outcome.
+    the cutoff clamp to the last tabulated outcome.  The clamp is built into
+    the table: its last entry is replaced by +inf, so bisect_right never
+    returns past the last outcome.
     """
     if count < 0:
         raise DomainError("count must be >= 0")
@@ -285,6 +284,6 @@ def sample(spec: QDistSpec, count: int, seed: int) -> list[int]:
             break
     else:
         raise NonConvergenceError("cumulative distribution did not reach its cutoff")
-    rng = random.Random(seed)
-    top = len(cdf) - 1
-    return [min(bisect_right(cdf, rng.random()), top) for _ in range(count)]
+    cdf[-1] = inf
+    draw = random.Random(seed).random
+    return [bisect_right(cdf, draw()) for _ in repeat(None, count)]

@@ -244,6 +244,37 @@ def test_dist_sample_deterministic(capsys):
     assert len(out1.splitlines()) == 5
 
 
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 10_000])
+def test_dist_sample_output_is_one_line_per_draw(capsys, count):
+    code, out, err = run(capsys, "dist", "--family", "euler", "--q", "0.4",
+                         "--lambda", "1.0", "--op", "sample", "--count", str(count),
+                         "--seed", "5")
+    assert (code, err) == (0, "")
+    draws = qdist.sample(qdist.QDistSpec("euler", 0.4, 1.0), count, 5)
+    assert out == "".join(f"{d}\n" for d in draws)
+
+
+def test_dist_sample_writes_bounded_batches(monkeypatch):
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(cli.sys, "stdout", Recorder())
+    assert main(["dist", "--family", "heine", "--q", "0.5", "--lambda", "0.7",
+                 "--op", "sample", "--count", "10000"]) == 0
+    assert [text.count("\n") for text in writes] == [4096, 4096, 1808]
+
+
+def test_dist_sample_negative_count_exits_two(capsys):
+    code, out, err = run(capsys, "dist", "--family", "heine", "--q", "0.5",
+                         "--lambda", "0.7", "--op", "sample", "--count", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qwhitney: ")
+
+
 def test_hankel_equal_rows(capsys):
     code, out, _ = run(capsys, "hankel", "--m", "1", "--r-values", "0,1,2",
                        "--q", "1/2", "--order", "3")

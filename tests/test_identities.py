@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from qwhitney.errors import (
 from qwhitney.identities import (
     DEFAULT_GRID,
     IdentityId,
+    _det_fraction_free,
     binomial_inverse,
     binomial_transform,
     hankel_probe,
@@ -21,7 +23,7 @@ from qwhitney.identities import (
     verify,
     verify_all,
 )
-from qwhitney.laurent import q_monomial
+from qwhitney.laurent import ZERO, LaurentPoly, q_monomial
 from qwhitney.modes import FloatQ, RationalQ
 from qwhitney.whitney import WhitneyParams, dowling_sequence, whitney_first_triangle
 
@@ -164,6 +166,74 @@ def test_hankel_symbolic_entries():
     dets = hankel_transform(seq, 2)
     assert dets[0] == 1
     assert dets[1] == 0  # geometric sequence: rank 1
+
+
+# -- Bareiss against sympy's determinant ----------------------------------------
+#
+# sympy's division-free Berkowitz determinant is the independent route.  A
+# Laurent matrix is compared after multiplying every entry by q^shift, which
+# clears the negative exponents and multiplies an order-n determinant by
+# q^(n * shift).
+
+
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def _hankel(seq, size):
+    return [[seq[i + j] for j in range(size)] for i in range(size)]
+
+
+def _hankel_sizes(seq):
+    return range(1, (len(seq) + 1) // 2 + 1)
+
+
+def _sympy_entry(sp, value, shift=0):
+    """value * q^shift as a sympy expression; value is a rational or LaurentPoly."""
+    terms = value.terms() if isinstance(value, LaurentPoly) else [(0, value)]
+    q = sp.Symbol("q")
+    return sum((sp.Rational(c.numerator, c.denominator) * q ** (e + shift) for e, c in terms),
+               sp.Integer(0))
+
+
+def test_bareiss_rational_hankel_matches_sympy(sp):
+    rng = random.Random(11)
+    # Leading zeros force row swaps, and a zero column ends in det 0.
+    sequences = [[0, 1, 0, 2, 0, 5, 0], [0, 0, 1, 1, 2, 3, 5]]
+    sequences += [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(9)]
+                  for _ in range(8)]
+    sequences.append(dowling_sequence(
+        WhitneyParams(Fraction(2), Fraction(-1, 3), RationalQ(Fraction(-1, 2))), 8))
+    for seq in sequences:
+        for size in _hankel_sizes(seq):
+            matrix = _hankel(seq, size)
+            expected = sp.Matrix([[_sympy_entry(sp, c) for c in row] for row in matrix]) \
+                .det(method="berkowitz")
+            assert _det_fraction_free(matrix) == Fraction(int(expected.p), int(expected.q))
+
+
+def test_bareiss_laurent_hankel_matches_sympy(sp):
+    rng = random.Random(12)
+
+    def laurent():
+        val = rng.randint(-3, 2)
+        return sum((q_monomial(val + i, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                    for i in range(rng.randint(1, 3))), ZERO)
+
+    sequences = [[laurent() for _ in range(7)] for _ in range(4)]
+    sequences.append([ZERO, q_monomial(-1), q_monomial(1, 2), ZERO, q_monomial(-2, -1),
+                      q_monomial(0, Fraction(1, 3)), q_monomial(3)])
+    sequences.append(dowling_sequence(WhitneyParams(Fraction(3, 2), Fraction(5, 2)), 6))
+    q = sp.Symbol("q")
+    for seq in sequences:
+        shift = max([0] + [-p.val for p in seq if p])
+        for size in _hankel_sizes(seq):
+            matrix = _hankel(seq, size)
+            expected = sp.Matrix([[_sympy_entry(sp, p, shift) for p in row] for row in matrix]) \
+                .det(method="berkowitz")
+            ours = _sympy_entry(sp, _det_fraction_free(matrix), size * shift)
+            assert sp.Poly(ours, q, domain=sp.QQ) == sp.Poly(expected, q, domain=sp.QQ)
 
 
 def test_hankel_probe_classical():

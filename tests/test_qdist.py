@@ -1,7 +1,10 @@
 import math
+import random
+from bisect import bisect_right
 
 import pytest
 
+from qwhitney import qdist
 from qwhitney.errors import DomainError, NonConvergenceError
 from qwhitney.modes import FloatQ
 from qwhitney.qdist import (
@@ -257,3 +260,70 @@ def test_oracle_term_cap():
     spec = QDistSpec("heine", 0.5, 0.7, tol=1e-30, term_cap=5)
     with pytest.raises(NonConvergenceError):
         direct_moment_oracle(spec, lambda x: 1.0)
+
+
+# -- sampler against the clamped table search -----------------------------------
+#
+# The reference is the sampler as first written: a cumulative table of pmf
+# values cut off at 1 - 1e-12, one bisect per draw, and an explicit clamp of
+# draws past the cutoff to the last tabulated outcome.
+
+#: The heine and euler (q, lambda) pairs the benchmark samples from.
+SAMPLER_SPECS = [QDistSpec("heine", q, lam)
+                 for q, lam in ((0.3, 0.9), (0.4, 1.2), (0.5, 0.7), (0.6, 0.5))] + \
+                [QDistSpec("euler", q, lam)
+                 for q, lam in ((0.3, 0.8), (0.4, 1.0), (0.5, 0.4), (0.6, 1.5))]
+
+
+def _reference_cdf(spec):
+    cdf = []
+    cumulative = 0.0
+    x = 0
+    while not cdf or cdf[-1] < 1.0 - 1e-12:
+        cumulative += pmf(spec, x)
+        cdf.append(cumulative)
+        x += 1
+    return cdf
+
+
+def _reference_sample(spec, count, seed):
+    cdf = _reference_cdf(spec)
+    rng = random.Random(seed)
+    top = len(cdf) - 1
+    return [min(bisect_right(cdf, rng.random()), top) for _ in range(count)]
+
+
+@pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=lambda s: f"{s.family}-{s.q}-{s.lam}")
+def test_sampler_matches_clamped_table_search(spec):
+    for seed in (0, 1, 7, 2024):
+        for count in (0, 1, 10_000):
+            assert sample(spec, count, seed) == _reference_sample(spec, count, seed)
+
+
+def test_sampler_one_outcome_table():
+    spec = QDistSpec("heine", 0.5, 1e-13)
+    assert pmf(spec, 0) >= 1.0 - 1e-12
+    assert len(_reference_cdf(spec)) == 1
+    for seed in (0, 3):
+        assert sample(spec, 1000, seed) == [0] * 1000 == _reference_sample(spec, 1000, seed)
+
+
+def test_sampler_clamps_draws_at_and_past_the_cutoff(monkeypatch):
+    # This table ends below the largest double under 1, so both of the last
+    # two draws fall past it and must clamp to the last outcome.
+    spec = QDistSpec("euler", 0.3, 0.8)
+    cdf = _reference_cdf(spec)
+    top = len(cdf) - 1
+    between = (cdf[1] + cdf[2]) / 2
+    draws = [0.0, cdf[0], between, cdf[-1], 0.9999999999999999]
+    assert cdf[-1] < 0.9999999999999999
+
+    class Stub:
+        def __init__(self, seed):
+            self.values = iter(draws)
+
+        def random(self):
+            return next(self.values)
+
+    monkeypatch.setattr(qdist.random, "Random", Stub)
+    assert sample(spec, len(draws), 0) == [0, 1, 2, top, top]
