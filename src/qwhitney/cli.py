@@ -155,11 +155,10 @@ def _load_grid(source: str) -> list[tuple[Fraction, Fraction]]:
         return list(DEFAULT_GRID)
     with open(source, encoding="utf-8") as fh:
         raw = json.load(fh)
-    grid = []
-    for entry in raw:
-        m, r = entry
-        grid.append((Fraction(str(m)), Fraction(str(r))))
-    return grid
+    if not isinstance(raw, list) or not all(
+            isinstance(entry, list) and len(entry) == 2 for entry in raw):
+        raise DomainError(f"--grid {source}: expected a JSON list of [m, r] pairs")
+    return [(Fraction(str(m)), Fraction(str(r))) for m, r in raw]
 
 
 def run_verify(args) -> int:
@@ -204,6 +203,8 @@ def _fmt(x: float) -> str:
 
 
 def run_dist(args) -> int:
+    if args.n is not None and args.n < 0:
+        raise DomainError("--n must be >= 0")
     spec = QDistSpec(args.family, args.q, args.lam, tol=args.tol)
     if args.op == "pmf":
         stream = _pmf_stream(spec)

@@ -29,7 +29,9 @@ from .modes import RationalQ, Scalar, divide_exact, values_equal
 from .report import IdentityReport
 from .whitney import (
     WhitneyParams,
-    defining_relation_check,
+    defining_first,
+    defining_second,
+    dowling_polynomial,
     dowling_sequence,
     whitney_first_triangle,
     whitney_second_triangle,
@@ -212,157 +214,96 @@ def _r_splits(params) -> list[tuple[Fraction, Fraction]]:
     return sorted((r1, params.r - r1) for r1 in r1_values)
 
 
-def _check_r_decomp_first(params, nmax, tol):
-    tri = whitney_first_triangle(params, nmax)
-    mode = params.qmode
-    reports = []
-    for r1, r2 in _r_splits(params):
-        split = WhitneyParams(params.m, r1, params.qmode)
-        tri1 = whitney_first_triangle(split, nmax)
-        neg_r2 = mode.of(-r2)
-        for n in range(nmax + 1):
-            for k in range(n + 1):
-                rhs = 0
-                power = neg_r2**0
-                for j in range(k, n + 1):
-                    rhs = rhs + comb(j, k) * power * tri1.value(n, j)
-                    power = power * neg_r2
-                reports.append(_rep(IdentityId.R_DECOMP_FIRST, params,
-                                    {"r1": str(r1), "r2": str(r2), "n": n, "k": k},
-                                    tri.value(n, k), rhs, tol))
-    return reports
+def _r_decomposition(params, kind: str, r1: Fraction, nmax: int):
+    """Yield (n, k, T_r(n,k), rhs) splitting r = r1 + r2 for one kind.
+
+    With B_x(a,b) = C(a,b) x^(a-b), the first kind is w_r = w_r1 B_(-r2) and
+    the second kind is W_r = B_r2 W_r1, as products of lower triangles.
+    """
+    build = whitney_first_triangle if kind == "first" else whitney_second_triangle
+    tri = build(params, nmax)
+    part = build(WhitneyParams(params.m, r1, params.qmode), nmax)
+    x = r1 - params.r if kind == "first" else params.r - r1
+    binom = [[comb(a, b) * x ** (a - b) for b in range(a + 1)] for a in range(nmax + 1)]
+    for n in range(nmax + 1):
+        for k in range(n + 1):
+            if kind == "first":
+                rhs = sum(part.value(n, j) * binom[j][k] for j in range(k, n + 1))
+            else:
+                rhs = sum(binom[n][j] * part.value(j, k) for j in range(n, k - 1, -1))
+            yield n, k, tri.value(n, k), rhs
 
 
-def _check_r_decomp_second(params, nmax, tol):
-    tri = whitney_second_triangle(params, nmax)
-    mode = params.qmode
-    reports = []
-    for r1, r2 in _r_splits(params):
-        split = WhitneyParams(params.m, r1, params.qmode)
-        tri1 = whitney_second_triangle(split, nmax)
-        r2v = mode.of(r2)
-        for n in range(nmax + 1):
-            for k in range(n + 1):
-                rhs = 0
-                power = r2v**0
-                for j in range(n, k - 1, -1):
-                    rhs = rhs + comb(n, j) * power * tri1.value(j, k)
-                    power = power * r2v
-                reports.append(_rep(IdentityId.R_DECOMP_SECOND, params,
-                                    {"r1": str(r1), "r2": str(r2), "n": n, "k": k},
-                                    tri.value(n, k), rhs, tol))
-    return reports
+def _check_r_decomp(identity: IdentityId, kind: str):
+    def check(params, nmax, tol):
+        return [_rep(identity, params, {"r1": str(r1), "r2": str(r2), "n": n, "k": k},
+                     lhs, rhs, tol)
+                for r1, r2 in _r_splits(params)
+                for n, k, lhs, rhs in _r_decomposition(params, kind, r1, nmax)]
+
+    return check
 
 
 def _check_r_shift(params, nmax, tol):
-    w = whitney_first_triangle(params, nmax)
-    W = whitney_second_triangle(params, nmax)
-    shifted = WhitneyParams(params.m, params.r - 1, params.qmode)
-    w1 = whitney_first_triangle(shifted, nmax)
-    W1 = whitney_second_triangle(shifted, nmax)
-    reports = []
-    for n in range(nmax + 1):
-        for k in range(n + 1):
-            rhs = 0
-            for j in range(k, n + 1):
-                term = comb(j, k) * w1.value(n, j)
-                rhs = rhs + (term if (j - k) % 2 == 0 else -term)
-            reports.append(_rep(IdentityId.R_SHIFT, params, {"kind": "first", "n": n, "k": k},
-                                w.value(n, k), rhs, tol))
-            rhs = 0
-            for j in range(k, n + 1):
-                rhs = rhs + comb(n, j) * W1.value(j, k)
-            reports.append(_rep(IdentityId.R_SHIFT, params, {"kind": "second", "n": n, "k": k},
-                                W.value(n, k), rhs, tol))
-    return reports
+    # The r1 = r - 1 split of both kinds, interleaved cell by cell.
+    kinds = ("first", "second")
+    streams = [_r_decomposition(params, kind, params.r - 1, nmax) for kind in kinds]
+    return [_rep(IdentityId.R_SHIFT, params, {"kind": kind, "n": n, "k": k}, lhs, rhs, tol)
+            for cells in zip(*streams)
+            for kind, (n, k, lhs, rhs) in zip(kinds, cells)]
 
 
-def _convo_cap(nmax: int) -> int:
-    return min(nmax, HEAVY_CAP)
+#: The convolution identities, one A-tableau argument per row:
+#: (kind, layout, shift s(p, k), outer q-exponent in (p, j), inner q-exponent
+#: in (n, k)), where S is the kind's triangle of the family shifted by s and
+#:   row:     T(p+j, n)     = q^outer sum_k q^inner T(p, k) S(j, n-k)
+#:   column:  T(n+1, p+j+1) = q^outer sum_k q^inner T(k, p) S(n-k, j).
+_CONVOLUTIONS = {
+    IdentityId.CONVO_FIRST_A: ("first", "row", lambda p, k: p,
+                               lambda p, j: -p * j, lambda n, k: 0),
+    IdentityId.CONVO_FIRST_B: ("first", "column", lambda p, k: k + 1,
+                               lambda p, j: 0, lambda n, k: k * k - n * k - n),
+    IdentityId.CONVO_SECOND_A: ("second", "column", lambda p, k: p + 1,
+                                lambda p, j: p + p * j + j, lambda n, k: 0),
+    IdentityId.CONVO_SECOND_B: ("second", "row", lambda p, k: k,
+                                lambda p, j: 0, lambda n, k: n * k - k * k),
+}
 
 
-def _check_convo_first_a(params, nmax, tol):
-    cap = _convo_cap(nmax)
-    tri = whitney_first_triangle(params, cap)
-    mode = params.qmode
-    reports = []
-    for p in range(cap + 1):
-        shifted = whitney_first_triangle(params, cap, shift=p)
-        for j in range(cap - p + 1):
-            for n in range(p + j + 1):
-                rhs = 0
-                for k in range(n + 1):
-                    rhs = rhs + tri.value(p, k) * shifted.value(j, n - k)
-                rhs = mode.q_power(-p * j) * rhs
-                reports.append(_rep(IdentityId.CONVO_FIRST_A, params,
-                                    {"p": p, "j": j, "n": n},
-                                    tri.value(p + j, n), rhs, tol))
-    return reports
+def _check_convolution(identity: IdentityId):
+    kind, layout, shift, outer, inner = _CONVOLUTIONS[identity]
+    row = layout == "row"
 
+    def check(params, nmax, tol):
+        build = whitney_first_triangle if kind == "first" else whitney_second_triangle
+        cap = min(nmax, HEAVY_CAP)
+        # A column layout's left side lives on row n+1: one extra base row.
+        tri = build(params, cap if row else cap + 1)
+        shifts = sorted({shift(p, k) for p in range(cap + 1) for k in range(cap + 1)})
+        shifted = {s: build(params, cap, shift=s) for s in shifts}
+        mode = params.qmode
+        reports = []
+        for p in range(cap + 1):
+            for j in range(cap - p + 1):
+                for n in range(p + j + 1) if row else range(p + j, cap + 1):
+                    rhs = 0
+                    for k in range(n + 1):
+                        a = tri.value(p, k) if row else tri.value(k, p)
+                        if a:
+                            e = inner(n, k)
+                            if e:
+                                a = mode.q_power(e) * a
+                            s = shifted[shift(p, k)]
+                            rhs = rhs + a * (s.value(j, n - k) if row else s.value(n - k, j))
+                    e = outer(p, j)
+                    if e:
+                        rhs = mode.q_power(e) * rhs
+                    lhs = tri.value(p + j, n) if row else tri.value(n + 1, p + j + 1)
+                    reports.append(_rep(identity, params, {"p": p, "j": j, "n": n},
+                                        lhs, rhs, tol))
+        return reports
 
-def _check_convo_first_b(params, nmax, tol):
-    # The left side lives on row n+1, so the base triangle gets one extra row.
-    cap = _convo_cap(nmax)
-    tri = whitney_first_triangle(params, cap + 1)
-    mode = params.qmode
-    shifted = {s: whitney_first_triangle(params, cap, shift=s) for s in range(1, cap + 2)}
-    reports = []
-    for p in range(cap + 1):
-        for j in range(cap - p + 1):
-            for n in range(p + j, cap + 1):
-                rhs = 0
-                for k in range(n + 1):
-                    a = tri.value(k, p)
-                    if a:
-                        rhs = rhs + (mode.q_power(k * k - n * k - n) * a
-                                     * shifted[k + 1].value(n - k, j))
-                reports.append(_rep(IdentityId.CONVO_FIRST_B, params,
-                                    {"p": p, "j": j, "n": n},
-                                    tri.value(n + 1, j + p + 1), rhs, tol))
-    return reports
-
-
-def _check_convo_second_a(params, nmax, tol):
-    # The left side lives on row n+1, so the base triangle gets one extra row.
-    cap = _convo_cap(nmax)
-    tri = whitney_second_triangle(params, cap + 1)
-    mode = params.qmode
-    reports = []
-    for p in range(cap + 1):
-        shifted = whitney_second_triangle(params, cap, shift=p + 1)
-        for j in range(cap - p + 1):
-            for n in range(p + j, cap + 1):
-                rhs = 0
-                for k in range(n + 1):
-                    a = tri.value(k, p)
-                    if a:
-                        rhs = rhs + a * shifted.value(n - k, j)
-                rhs = mode.q_power(p + p * j + j) * rhs
-                reports.append(_rep(IdentityId.CONVO_SECOND_A, params,
-                                    {"p": p, "j": j, "n": n},
-                                    tri.value(n + 1, j + p + 1), rhs, tol))
-    return reports
-
-
-def _check_convo_second_b(params, nmax, tol):
-    cap = _convo_cap(nmax)
-    tri = whitney_second_triangle(params, cap)
-    mode = params.qmode
-    shifted = {s: whitney_second_triangle(params, cap, shift=s) for s in range(cap + 1)}
-    reports = []
-    for p in range(cap + 1):
-        for j in range(cap - p + 1):
-            for n in range(p + j + 1):
-                rhs = 0
-                for k in range(n + 1):
-                    a = tri.value(p, k)
-                    if a:
-                        rhs = rhs + (mode.q_power(n * k - k * k) * a
-                                     * shifted[k].value(j, n - k))
-                reports.append(_rep(IdentityId.CONVO_SECOND_B, params,
-                                    {"p": p, "j": j, "n": n},
-                                    tri.value(p + j, n), rhs, tol))
-    return reports
+    return check
 
 
 def _check_dowling_binomial_fwd(params, nmax, tol):
@@ -406,8 +347,6 @@ def _check_orthogonality(params, nmax, tol):
 
 
 def _check_privault_q(params, nmax, tol):
-    from .whitney import dowling_polynomial
-
     cap = min(nmax, HEAVY_CAP)
     mode = params.qmode
     mval = mode.of(params.m)
@@ -438,14 +377,10 @@ def _check_privault_q(params, nmax, tol):
     return reports
 
 
-def _check_defining(which: IdentityId):
+def _check_defining(relation: Callable):
     def check(params, nmax, tol):
-        reports = []
-        pick = 0 if which is IdentityId.DEFINING_FIRST else 1
-        for ell in range(DEFINING_ELL_CAP + 1):
-            for n in range(nmax + 1):
-                reports.append(defining_relation_check(params, ell, n, tol)[pick])
-        return reports
+        return [relation(params, ell, n, tol)
+                for ell in range(DEFINING_ELL_CAP + 1) for n in range(nmax + 1)]
 
     return check
 
@@ -457,19 +392,16 @@ _CHECKERS: dict[IdentityId, Callable] = {
     IdentityId.HORIZONTAL_SECOND: _check_horizontal_second,
     IdentityId.GENFUNC_SECOND: _check_genfunc_second,
     IdentityId.BOUNDARY: _check_boundary,
-    IdentityId.R_DECOMP_FIRST: _check_r_decomp_first,
-    IdentityId.R_DECOMP_SECOND: _check_r_decomp_second,
+    IdentityId.R_DECOMP_FIRST: _check_r_decomp(IdentityId.R_DECOMP_FIRST, "first"),
+    IdentityId.R_DECOMP_SECOND: _check_r_decomp(IdentityId.R_DECOMP_SECOND, "second"),
     IdentityId.R_SHIFT: _check_r_shift,
-    IdentityId.CONVO_FIRST_A: _check_convo_first_a,
-    IdentityId.CONVO_FIRST_B: _check_convo_first_b,
-    IdentityId.CONVO_SECOND_A: _check_convo_second_a,
-    IdentityId.CONVO_SECOND_B: _check_convo_second_b,
+    **{identity: _check_convolution(identity) for identity in _CONVOLUTIONS},
     IdentityId.DOWLING_BINOMIAL_FWD: _check_dowling_binomial_fwd,
     IdentityId.DOWLING_BINOMIAL_INV: _check_dowling_binomial_inv,
     IdentityId.ORTHOGONALITY: _check_orthogonality,
     IdentityId.PRIVAULT_Q: _check_privault_q,
-    IdentityId.DEFINING_FIRST: _check_defining(IdentityId.DEFINING_FIRST),
-    IdentityId.DEFINING_SECOND: _check_defining(IdentityId.DEFINING_SECOND),
+    IdentityId.DEFINING_FIRST: _check_defining(defining_first),
+    IdentityId.DEFINING_SECOND: _check_defining(defining_second),
 }
 
 

@@ -358,11 +358,7 @@ def q_stirling_second(n: int, k: int, qmode: QMode = SYMBOLIC) -> Scalar:
 
 def dowling_number(params: WhitneyParams, n: int) -> Scalar:
     """Row sum of the second-kind triangle."""
-    row = whitney_second_triangle(params, n).row(n)
-    total = row[0]
-    for v in row[1:]:
-        total = total + v
-    return total
+    return dowling_sequence(params, n)[n]
 
 
 def dowling_polynomial(params: WhitneyParams, n: int, x) -> Scalar:
@@ -403,33 +399,35 @@ def _q_falling(mode: QMode, x: int, n: int) -> Scalar:
     return acc
 
 
-def defining_relation_check(params: WhitneyParams, ell: int, n: int,
-                            tol: float = 1e-9) -> list[IdentityReport]:
-    """Check both connection-coefficient relations at integer argument ell.
-
-    First kind:  m^n [ell]_q ... [ell-n+1]_q = sum_k w(n,k) (m[ell]_q + r)^k.
-    Second kind: (m[ell]_q + r)^n = sum_k m^k W(n,k) [ell]_q ... [ell-k+1]_q.
-
-    Returns one report per relation; failures are reported, never raised.
-    """
+def defining_first(params: WhitneyParams, ell: int, n: int,
+                   tol: float = 1e-9) -> IdentityReport:
+    """First kind: m^n [ell]_q ... [ell-n+1]_q = sum_k w(n,k) (m[ell]_q + r)^k."""
     if ell < 0 or n < 0:
         raise ValueError("ell and n must be >= 0")
     mode = params.qmode
-    mval = mode.of(params.m)
     base = params.weight(ell)
-
     w = whitney_first_triangle(params, n)
-    lhs1 = mval**n * _q_falling(mode, ell, n)
-    rhs1 = 0
+    lhs = mode.of(params.m)**n * _q_falling(mode, ell, n)
+    rhs = 0
     base_k = mode.q_power(0)
     for k in range(n + 1):
         if k:
             base_k = base_k * base
-        rhs1 = rhs1 + w.value(n, k) * base_k
+        rhs = rhs + w.value(n, k) * base_k
+    return IdentityReport("defining_first", params.point(ell=ell, n=n), lhs, rhs,
+                          values_equal(lhs, rhs, mode, tol))
 
+
+def defining_second(params: WhitneyParams, ell: int, n: int,
+                    tol: float = 1e-9) -> IdentityReport:
+    """Second kind: (m[ell]_q + r)^n = sum_k m^k W(n,k) [ell]_q ... [ell-k+1]_q."""
+    if ell < 0 or n < 0:
+        raise ValueError("ell and n must be >= 0")
+    mode = params.qmode
+    mval = mode.of(params.m)
     W = whitney_second_triangle(params, n)
-    lhs2 = base**n
-    rhs2 = 0
+    lhs = params.weight(ell)**n
+    rhs = 0
     m_k = mval**0
     falling = mode.q_power(0)
     for k in range(n + 1):
@@ -437,11 +435,15 @@ def defining_relation_check(params: WhitneyParams, ell: int, n: int,
             m_k = m_k * mval
             if k <= ell + 1:  # [ell - k + 1]_q is 0 at k = ell + 1, and 0 stays 0
                 falling = falling * mode.q_int(ell - k + 1)
-        rhs2 = rhs2 + m_k * W.value(n, k) * falling
+        rhs = rhs + m_k * W.value(n, k) * falling
+    return IdentityReport("defining_second", params.point(ell=ell, n=n), lhs, rhs,
+                          values_equal(lhs, rhs, mode, tol))
 
-    return [
-        IdentityReport("defining_first", params.point(ell=ell, n=n), lhs1, rhs1,
-                       values_equal(lhs1, rhs1, mode, tol)),
-        IdentityReport("defining_second", params.point(ell=ell, n=n), lhs2, rhs2,
-                       values_equal(lhs2, rhs2, mode, tol)),
-    ]
+
+def defining_relation_check(params: WhitneyParams, ell: int, n: int,
+                            tol: float = 1e-9) -> list[IdentityReport]:
+    """Check both connection-coefficient relations at integer argument ell.
+
+    Returns one report per relation; failures are reported, never raised.
+    """
+    return [defining_first(params, ell, n, tol), defining_second(params, ell, n, tol)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -135,6 +136,44 @@ def test_verify_custom_grid(tmp_path, capsys):
     assert out.splitlines()[0] == "boundary\t32\t0"
 
 
+@pytest.mark.parametrize("q, digest", [
+    ("symbolic", "f03646cc12e7c508bb673f5f5f1c7e2be20e7bd8d8b305929b4f9134c27f22b1"),
+    ("1/2", "e11c4f524f4f50e720161f2d305829d19a7978dad820dd3d56440aeb24bd8c7b"),
+])
+def test_verify_report_stream_is_pinned(tmp_path, capsys, q, digest):
+    report = tmp_path / "reports.jsonl"
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--nmax", "5", "--q", q,
+                       "--report", str(report))
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS\t6732\t0"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "edca9e747b4aecc3c6a0d1f89a3e9ffeccd097fac03ed369ec2800a239a6c5d5")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("grid", ["5", "[5]", "[[1]]", "[[1, 0, 2]]", "{\"1\": 0}"])
+def test_verify_rejects_malformed_grid(tmp_path, capsys, grid):
+    path = tmp_path / "grid.json"
+    path.write_text(grid)
+    code, out, err = run(capsys, "verify", "--suite", "boundary", "--nmax", "2",
+                         "--grid", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qwhitney: ")
+
+
+def test_verify_violation_exits_one(tmp_path, capsys, corrupt_rows):
+    corrupt_rows("second")
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([["3/2", "5/2"]]))
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--nmax", "4",
+                       "--grid", str(grid))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:2] == ["vertical_first\t10\t0", "vertical_second\t10\t8"]
+    assert lines[-1].startswith("FAIL\t")
+
+
 def test_dist_moments_deltas_small(capsys):
     code, out, _ = run(capsys, "dist", "--family", "euler", "--q", "0.5",
                        "--lambda", "0.4", "--op", "moments", "--n", "3",
@@ -224,6 +263,15 @@ def test_package_arithmetic_error_exits_two(capsys, monkeypatch):
                        "--q", "1/2", "--order", "2")
     assert code == 2
     assert err == "qwhitney: not divisible\n"
+
+
+@pytest.mark.parametrize("op", ["pmf", "moments"])
+def test_dist_negative_n_exits_two(capsys, op):
+    code, out, err = run(capsys, "dist", "--family", "heine", "--q", "0.5",
+                         "--lambda", "0.7", "--op", op, "--n", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qwhitney: ")
 
 
 def test_dist_pmf_sums_to_one(capsys):

@@ -63,6 +63,42 @@ def test_convo_first_a_hand_example():
     assert rep.passed and rep.lhs == lhs
 
 
+#: Failures per identity at (m, r) = (3/2, 5/2), symbolic q, nmax 4, with the
+#: [first, second] kind's triangles corrupted by the corrupt_rows fixture.
+CORRUPTED_FAILURES = {
+    IdentityId.VERTICAL_FIRST: [9, 0],
+    IdentityId.VERTICAL_SECOND: [0, 8],
+    IdentityId.HORIZONTAL_FIRST: [14, 0],
+    IdentityId.HORIZONTAL_SECOND: [0, 14],
+    IdentityId.GENFUNC_SECOND: [0, 12],
+    IdentityId.BOUNDARY: [6, 6],
+    IdentityId.R_DECOMP_FIRST: [25, 0],
+    IdentityId.R_DECOMP_SECOND: [0, 21],
+    IdentityId.R_SHIFT: [7, 7],
+    IdentityId.CONVO_FIRST_A: [26, 0],
+    IdentityId.CONVO_FIRST_B: [34, 0],
+    IdentityId.CONVO_SECOND_A: [0, 34],
+    IdentityId.CONVO_SECOND_B: [0, 26],
+    IdentityId.DOWLING_BINOMIAL_FWD: [0, 2],
+    IdentityId.DOWLING_BINOMIAL_INV: [0, 2],
+    IdentityId.ORTHOGONALITY: [24, 24],
+    IdentityId.PRIVAULT_Q: [0, 15],
+    IdentityId.DEFINING_FIRST: [21, 0],
+    IdentityId.DEFINING_SECOND: [0, 21],
+}
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_checkers_fail_on_corrupted_triangles(corrupt_rows, kind):
+    corrupt_rows(kind)
+    params = WhitneyParams(Fraction(3, 2), Fraction(5, 2))
+    pick = 0 if kind == "first" else 1
+    failures = {identity: sum(not rep.passed for rep in verify(identity, params, 4))
+                for identity in IdentityId}
+    assert failures == {identity: pair[pick]
+                        for identity, pair in CORRUPTED_FAILURES.items()}
+
+
 def test_boundary_trivial_at_nmax_zero():
     for m, r in SMALL_GRID:
         reports = verify(IdentityId.BOUNDARY, WhitneyParams(m, r), 0)
