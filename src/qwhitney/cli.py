@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -36,6 +37,23 @@ FORMAT_VERSION = "1"
 #: Draws written per stdout write by `dist --op sample`; one batch's text is
 #: the largest string the output step holds, so peak memory stays flat.
 SAMPLE_BATCH = 4096
+
+
+#: A negative number such as -3, -3/2 or -.5.  argparse takes "-3/2" for a flag.
+_NEGATIVE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join an option and a following negative value: ["--m", "-3/2"] -> ["--m=-3/2"]."""
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (_NEGATIVE.match(tok) and prev.startswith("--") and "=" not in prev
+                and prev != "--help"):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def _rational(text: str) -> Fraction:
@@ -158,6 +176,8 @@ def _load_grid(source: str) -> list[tuple[Fraction, Fraction]]:
     if not isinstance(raw, list) or not all(
             isinstance(entry, list) and len(entry) == 2 for entry in raw):
         raise DomainError(f"--grid {source}: expected a JSON list of [m, r] pairs")
+    if not raw:
+        raise DomainError(f"--grid {source}: no [m, r] pairs, so nothing to verify")
     return [(Fraction(str(m)), Fraction(str(r))) for m, r in raw]
 
 
@@ -182,13 +202,14 @@ def run_verify(args) -> int:
             reports = []
             for m, r in grid:
                 reports.extend(verify(identity, WhitneyParams(m, r, mode), args.nmax))
-            reports.sort(key=lambda rep: (rep.identity, sorted(
-                (k, str(v)) for k, v in rep.point.items())))
             bad = sum(not rep.passed for rep in reports)
             checked += len(reports)
             failures += bad
             print(f"{identity.value}\t{len(reports)}\t{bad}")
             if stream is not None:
+                # The count line does not depend on order; the stream does.
+                reports.sort(key=lambda rep: (rep.identity, sorted(
+                    (k, str(v)) for k, v in rep.point.items())))
                 for rep in reports:
                     stream.write(json.dumps(rep.as_json_dict()) + "\n")
     finally:
@@ -257,8 +278,9 @@ def run_hankel(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -286,8 +286,10 @@ def _check_convolution(identity: IdentityId):
         for p in range(cap + 1):
             for j in range(cap - p + 1):
                 for n in range(p + j + 1) if row else range(p + j, cap + 1):
+                    # Only the k where both factors lie inside their triangles.
+                    band = range(max(0, n - j), min(n, p) + 1) if row else range(p, n - j + 1)
                     rhs = 0
-                    for k in range(n + 1):
+                    for k in band:
                         a = tri.value(p, k) if row else tri.value(k, p)
                         if a:
                             e = inner(n, k)
@@ -452,6 +454,19 @@ def binomial_inverse(seq: Sequence[Scalar]) -> list[Scalar]:
     return out
 
 
+def _eliminate(m: list[list], col: int, prev) -> None:
+    """One Bareiss step on pivot m[col][col]: rows and columns past col, in place."""
+    pivot = m[col][col]
+    row_c = m[col]
+    for i in range(col + 1, len(m)):
+        row_i = m[i]
+        ric = row_i[col]
+        for j in range(col + 1, len(m)):
+            num = row_i[j] * pivot - ric * row_c[j]
+            row_i[j] = num if prev == 1 else divide_exact(num, prev)
+        row_i[col] = 0
+
+
 def _det_fraction_free(matrix: list[list]) -> Scalar:
     """Bareiss one-step fraction-free elimination; exact in any exact scalar."""
     n = len(matrix)
@@ -465,31 +480,42 @@ def _det_fraction_free(matrix: list[list]) -> Scalar:
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
             sign = -sign
-        pivot = m[col][col]
-        for i in range(col + 1, n):
-            ric = m[i][col]
-            row_i = m[i]
-            row_c = m[col]
-            for j in range(col + 1, n):
-                num = row_i[j] * pivot - ric * row_c[j]
-                row_i[j] = num if prev == 1 else divide_exact(num, prev)
-            row_i[col] = 0
-        prev = pivot
+        _eliminate(m, col, prev)
+        prev = m[col][col]
     out = m[n - 1][n - 1]
     return out if sign == 1 else -out
 
 
+def _hankel_matrix(seq: Sequence[Scalar], size: int) -> list[list]:
+    return [[seq[i + j] for j in range(size)] for i in range(size)]
+
+
 def hankel_transform(seq: Sequence[Scalar], order: int) -> list[Scalar]:
-    """Determinants of the leading Hankel matrices [seq_(i+j)], sizes 1..order."""
+    """Determinants of the leading Hankel matrices [seq_(i+j)], sizes 1..order.
+
+    One Bareiss pass without pivoting yields them all: after step col - 1 the
+    pivot m[col][col] is the leading minor of size col + 1, formed by the same
+    operations as `_det_fraction_free` on that leading block (Bareiss 1968,
+    Sylvester's identity).  From the first zero pivot on, the pass cannot go
+    on without a row swap, so each larger size is eliminated on its own.
+    """
     if order < 0:
         raise ValueError("order must be >= 0")
     if len(seq) < 2 * order - 1:
         raise InsufficientSequenceError(
             f"need at least {2 * order - 1} terms for order {order}, got {len(seq)}")
+    m = _hankel_matrix(seq, order)
     out = []
-    for size in range(1, order + 1):
-        matrix = [[seq[i + j] for j in range(size)] for i in range(size)]
-        out.append(_det_fraction_free(matrix))
+    prev = 1
+    for col in range(order):
+        pivot = m[col][col]
+        out.append(pivot)
+        if not pivot:
+            break
+        _eliminate(m, col, prev)
+        prev = pivot
+    out.extend(_det_fraction_free(_hankel_matrix(seq, size))
+               for size in range(len(out) + 1, order + 1))
     return out
 
 

@@ -65,6 +65,11 @@ def _rational_q_int(q0: Fraction, n: int) -> Fraction:
     return (q0**n - 1) / (q0 - 1)
 
 
+@lru_cache(maxsize=None)
+def _rational_q_power(q0: Fraction, e: int) -> Fraction:
+    return q0**e
+
+
 @dataclass(frozen=True)
 class RationalQ:
     """q fixed to a nonzero exact rational; every value is a Fraction."""
@@ -80,7 +85,7 @@ class RationalQ:
     is_exact = True
 
     def q_power(self, e: int) -> Fraction:
-        return self.q0**e
+        return _rational_q_power(self.q0, e)
 
     def q_int(self, n: int) -> Fraction:
         return _rational_q_int(self.q0, n)

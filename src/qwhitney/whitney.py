@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import comb, lcm
 from .errors import ZeroMError
 from .laurent import LaurentPoly
@@ -210,17 +210,19 @@ def _first_rows_recurrence(params: WhitneyParams, nmax: int, shift: int) -> tupl
 
 def _second_rows_recurrence(params: WhitneyParams, nmax: int, shift: int) -> tuple:
     mode = params.qmode
+    weights = [params.weight(shift + k) for k in range(nmax)]
+    qpow = [mode.q_power(k) for k in range(nmax)]
     rows = [(mode.q_power(0),)]
     for n in range(nmax):
         prev = rows[n]
         row = []
         for k in range(n + 2):
             if k == 0:
-                term = params.weight(shift) * prev[0]
+                term = weights[0] * prev[0]
             elif k == n + 1:
-                term = mode.q_power(n) * prev[n]
+                term = qpow[n] * prev[n]
             else:
-                term = mode.q_power(k - 1) * prev[k - 1] + params.weight(shift + k) * prev[k]
+                term = qpow[k - 1] * prev[k - 1] + weights[k] * prev[k]
             row.append(term)
         rows.append(tuple(row))
     return tuple(rows)
@@ -335,8 +337,6 @@ def q_stirling_first_complement(n: int, k: int, qmode: QMode = SYMBOLIC) -> Scal
     (k-1)-element complements, so each summand is [n-1]_q! divided exactly by
     the product of the complement's q-integers.  Defined for 1 <= k <= n.
     """
-    from itertools import combinations
-
     if not 1 <= k <= n:
         raise ValueError("complement form needs 1 <= k <= n")
     mode = qmode

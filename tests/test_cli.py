@@ -151,7 +151,15 @@ def test_verify_report_stream_is_pinned(tmp_path, capsys, q, digest):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("grid", ["5", "[5]", "[[1]]", "[[1, 0, 2]]", "{\"1\": 0}"])
+def test_verify_count_table_without_report_is_pinned(capsys):
+    # Reports are sorted only for the --report stream; the counts are the same.
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--nmax", "5", "--q", "1/2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "edca9e747b4aecc3c6a0d1f89a3e9ffeccd097fac03ed369ec2800a239a6c5d5")
+
+
+@pytest.mark.parametrize("grid", ["5", "[5]", "[[1]]", "[[1, 0, 2]]", "{\"1\": 0}", "[]"])
 def test_verify_rejects_malformed_grid(tmp_path, capsys, grid):
     path = tmp_path / "grid.json"
     path.write_text(grid)
@@ -355,6 +363,25 @@ def test_hankel_usage_errors(capsys):
     code, _, _ = run(capsys, "hankel", "--m", "1", "--r-values", "0,1",
                      "--q", "1/2", "--order", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    ("table --kind second --nmax 3 --m -3/2 --r -1/2 --q -1/2",
+     "table --kind second --nmax 3 --m=-3/2 --r=-1/2 --q=-1/2"),
+    ("table --kind first --nmax 3 --m -3 --r -5/2 --q symbolic --format csv",
+     "table --kind first --nmax 3 --m=-3 --r=-5/2 --q symbolic --format csv"),
+    ("verify --suite boundary,r_shift --nmax 3 --q -1/2",
+     "verify --suite boundary,r_shift --nmax 3 --q=-1/2"),
+    ("hankel --m -3/2 --r-values -1/2,1/2 --q -1/2 --order 3",
+     "hankel --m=-3/2 --r-values=-1/2,1/2 --q=-1/2 --order 3"),
+], ids=["table-rational", "table-symbolic", "verify", "hankel"])
+def test_negative_rationals_as_separate_arguments(capsys, spaced, joined):
+    code, out, err = run(capsys, *spaced.split())
+    assert (code, err) == (0, "")
+    assert run(capsys, *joined.split()) == (0, out, "")
+    if spaced.startswith("table --kind second"):
+        doc = json.loads(out)
+        assert (doc["m"], doc["r"], doc["q0"]) == ("-3/2", "-1/2", "-1/2")
 
 
 def test_usage_error_exit_code(capsys):

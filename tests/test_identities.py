@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -24,7 +25,7 @@ from qwhitney.identities import (
     verify_all,
 )
 from qwhitney.laurent import ZERO, LaurentPoly, q_monomial
-from qwhitney.modes import FloatQ, RationalQ
+from qwhitney.modes import SYMBOLIC, FloatQ, RationalQ, canonical_text
 from qwhitney.whitney import WhitneyParams, dowling_sequence, whitney_first_triangle
 
 SMALL_GRID = [(Fraction(1), Fraction(0)), (Fraction(2), Fraction(1)),
@@ -97,6 +98,38 @@ def test_checkers_fail_on_corrupted_triangles(corrupt_rows, kind):
                 for identity in IdentityId}
     assert failures == {identity: pair[pick]
                         for identity, pair in CORRUPTED_FAILURES.items()}
+
+
+#: sha256 of each convolution's right sides at (m, r) = (3/2, 5/2), nmax 6, as
+#: canonical text one per line in report order.  Pinned from sums over every k
+#: in 0..n, so summing over the nonzero band only must give the same text.
+CONVOLUTION_RHS_SHA256 = {
+    ("1/2", IdentityId.CONVO_FIRST_A):
+        "7eb9e549a35652f7c1b7c6dce0cea9ad61f8370ba5a8762354b75103d05c2a98",
+    ("1/2", IdentityId.CONVO_FIRST_B):
+        "7ef216d9507b710deb56e773a1c7202a6190e951f3a050001ab51d0b7e96a19b",
+    ("1/2", IdentityId.CONVO_SECOND_A):
+        "277b82fcc96cd62c613e8a47de3febc2b5d2357459a90d0c9542920b6c86fec3",
+    ("1/2", IdentityId.CONVO_SECOND_B):
+        "2b2d20fa4530e7b019baf5bb57a67ad84c8a2cc2aab70ec00b10e9064df0c301",
+    ("symbolic", IdentityId.CONVO_FIRST_A):
+        "35bfed2f361c8671a60d40704a2ae16f27091f5970297d05d3045313f5cc218e",
+    ("symbolic", IdentityId.CONVO_FIRST_B):
+        "71ed09af7f7ba25e72ca79d30834fbe4e5136d04da08cd812608a1f99e6b7722",
+    ("symbolic", IdentityId.CONVO_SECOND_A):
+        "95206ebe5de5cb49b790045ed41a43519494827c73e7735af7794bb9214c0d00",
+    ("symbolic", IdentityId.CONVO_SECOND_B):
+        "76925aa80dc82390fe6da99e57fd0c47a909b247f7a8a914ebe0ddfa664e8563",
+}
+
+
+@pytest.mark.parametrize("q, identity", list(CONVOLUTION_RHS_SHA256))
+def test_convolution_right_sides_are_pinned(q, identity):
+    mode = SYMBOLIC if q == "symbolic" else RationalQ(Fraction(q))
+    reports = verify(identity, WhitneyParams(Fraction(3, 2), Fraction(5, 2), mode), 6)
+    assert all(rep.passed for rep in reports)
+    text = "".join(canonical_text(rep.rhs) + "\n" for rep in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == CONVOLUTION_RHS_SHA256[q, identity]
 
 
 def test_boundary_trivial_at_nmax_zero():
@@ -270,6 +303,67 @@ def test_bareiss_laurent_hankel_matches_sympy(sp):
                 .det(method="berkowitz")
             ours = _sympy_entry(sp, _det_fraction_free(matrix), size * shift)
             assert sp.Poly(ours, q, domain=sp.QQ) == sp.Poly(expected, q, domain=sp.QQ)
+
+
+# -- Hankel minors from one elimination ------------------------------------------
+#
+# hankel_transform reads every leading minor off one unpivoted Bareiss pass and,
+# from the first zero pivot on, eliminates each larger size on its own.  Each
+# size must equal, in value and type, _det_fraction_free on its leading block.
+
+#: Sequences whose leading minor is 0 at size 1 or at a middle size, followed
+#: by a nonzero minor, so the per-size elimination decides the later sizes.
+ZERO_PIVOT_SEQUENCES = [
+    [0, 1, 0, 2, 0, 5, 0],
+    [0, 0, 1, 1, 2, 3, 5],
+    [1, 1, 1, 2, 5, 14, 42, 132, 429],
+    [Fraction(2), 1, Fraction(1, 2), Fraction(-3, 4), 0, 7, Fraction(1, 3)],
+    [q_monomial(0), q_monomial(1), q_monomial(2), q_monomial(3, 2), q_monomial(4)],
+]
+
+
+def _minor_test_sequences():
+    rng = random.Random(13)
+    rational = [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(11)]
+                for _ in range(6)]
+    rational.append(list(dowling_sequence(
+        WhitneyParams(Fraction(-3, 2), Fraction(1), RationalQ(Fraction(1, 2))), 10)))
+
+    def laurent():
+        val = rng.randint(-3, 2)
+        return sum((q_monomial(val + i, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                    for i in range(rng.randint(1, 3))), ZERO)
+
+    laurents = [[laurent() for _ in range(7)] for _ in range(3)]
+    laurents.append(list(dowling_sequence(WhitneyParams(Fraction(3, 2), Fraction(5, 2)), 6)))
+    return rational + ZERO_PIVOT_SEQUENCES + laurents
+
+
+def test_hankel_transform_equals_per_size_bareiss():
+    for seq in _minor_test_sequences():
+        order = (len(seq) + 1) // 2
+        expected = [_det_fraction_free(_hankel(seq, size)) for size in range(1, order + 1)]
+        got = hankel_transform(seq, order)
+        assert got == expected, seq
+        assert [type(v) for v in got] == [type(v) for v in expected], seq
+
+
+def test_hankel_zero_pivot_sequences_need_the_fallback():
+    for seq in ZERO_PIVOT_SEQUENCES:
+        minors = hankel_transform(seq, (len(seq) + 1) // 2)
+        first_zero = next(i for i, v in enumerate(minors) if not v)
+        assert any(minors[first_zero + 1:]), minors
+
+
+def test_hankel_transform_matches_sympy(sp):
+    for seq in _minor_test_sequences():
+        shift = max([0] + [-p.val for p in seq if isinstance(p, LaurentPoly) and p])
+        order = (len(seq) + 1) // 2
+        for size, minor in enumerate(hankel_transform(seq, order), start=1):
+            expected = sp.Matrix([[_sympy_entry(sp, c, shift) for c in row]
+                                  for row in _hankel(seq, size)]).det(method="berkowitz")
+            ours = _sympy_entry(sp, minor, size * shift)
+            assert sp.expand(ours - expected) == 0, (seq, size)
 
 
 def test_hankel_probe_classical():
