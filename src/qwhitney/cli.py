@@ -19,6 +19,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import DomainError, QWhitneyError
 from .identities import (
@@ -181,6 +182,16 @@ def _load_grid(source: str) -> list[tuple[Fraction, Fraction]]:
     return [(Fraction(str(m)), Fraction(str(r))) for m, r in raw]
 
 
+def _report_order(reports: list):
+    """Sort key: the point's values as text, in the order of its sorted keys.
+
+    Every report of one identity carries the same point keys, so this orders
+    them as comparing the sorted (key, text) pairs would.
+    """
+    values = itemgetter(*sorted(reports[0].point))
+    return lambda rep: tuple(map(str, values(rep.point)))
+
+
 def run_verify(args) -> int:
     if args.suite == "all":
         identities = list(IdentityId)
@@ -192,7 +203,7 @@ def run_verify(args) -> int:
             except ValueError:
                 raise UnknownIdentityError(f"unknown identity {name.strip()!r}") from None
     mode = parse_qmode(args.q)
-    grid = _load_grid(args.grid)
+    points = [WhitneyParams(m, r, mode) for m, r in _load_grid(args.grid)]
 
     failures = 0
     checked = 0
@@ -200,16 +211,15 @@ def run_verify(args) -> int:
     try:
         for identity in identities:
             reports = []
-            for m, r in grid:
-                reports.extend(verify(identity, WhitneyParams(m, r, mode), args.nmax))
+            for params in points:
+                reports.extend(verify(identity, params, args.nmax))
             bad = sum(not rep.passed for rep in reports)
             checked += len(reports)
             failures += bad
             print(f"{identity.value}\t{len(reports)}\t{bad}")
-            if stream is not None:
+            if stream is not None and reports:
                 # The count line does not depend on order; the stream does.
-                reports.sort(key=lambda rep: (rep.identity, sorted(
-                    (k, str(v)) for k, v in rep.point.items())))
+                reports.sort(key=_report_order(reports))
                 for rep in reports:
                     stream.write(json.dumps(rep.as_json_dict()) + "\n")
     finally:

@@ -85,77 +85,76 @@ def _rep(identity: IdentityId, params: WhitneyParams, indices: dict,
 
 
 def _check_vertical_first(params, nmax, tol):
-    tri = whitney_first_triangle(params, nmax)
+    # rhs(n,k) = q^-C(n+1,2) A_n(k), A_n(k) = sum_{j=k..n} (-1)^(n-j) q^C(j,2)
+    # T(j,k) prod_{i=j+1..n} weight(i), by Horner's rule in the weights:
+    # A_n(k) = q^C(n,2) T(n,k) - weight(n) A_(n-1)(k).
+    rows = whitney_first_triangle(params, nmax).rows
     mode = params.qmode
+    acc = []
     reports = []
     for n in range(nmax):
-        # suffix[j] = prod_{i=j+1..n} weight(i); empty product when j = n.
-        suffix = [mode.q_power(0)] * (n + 1)
-        for j in range(n - 1, -1, -1):
-            suffix[j] = params.weight(j + 1) * suffix[j + 1]
+        acc.append(0)
+        qn, wn, scale = mode.q_power(comb(n, 2)), params.weight(n), mode.q_power(-comb(n + 1, 2))
         for k in range(n + 1):
-            rhs = 0
-            for j in range(k, n + 1):
-                term = mode.q_power(comb(j, 2) - comb(n + 1, 2)) * tri.value(j, k) * suffix[j]
-                rhs = rhs + (term if (n - j) % 2 == 0 else -term)
+            acc[k] = qn * rows[n][k] - wn * acc[k]
             reports.append(_rep(IdentityId.VERTICAL_FIRST, params, {"n": n, "k": k},
-                                tri.value(n + 1, k + 1), rhs, tol))
+                                rows[n + 1][k + 1], scale * acc[k], tol))
     return reports
 
 
 def _check_vertical_second(params, nmax, tol):
-    tri = whitney_second_triangle(params, nmax)
+    # rhs(n,k) = q^k A_n(k), A_n(k) = sum_{j=k..n} weight(k+1)^(n-j) T(j,k), by
+    # Horner's rule in weight(k+1): A_n(k) = weight(k+1) A_(n-1)(k) + T(n,k).
+    rows = whitney_second_triangle(params, nmax).rows
     mode = params.qmode
+    acc = []
     reports = []
     for n in range(nmax):
+        acc.append(0)
         for k in range(n + 1):
-            w = params.weight(k + 1)
-            rhs = 0
-            power = mode.q_power(0)
-            for j in range(n, k - 1, -1):
-                rhs = rhs + power * tri.value(j, k)
-                power = power * w
-            rhs = mode.q_power(k) * rhs
+            acc[k] = acc[k] * params.weight(k + 1) + rows[n][k]
             reports.append(_rep(IdentityId.VERTICAL_SECOND, params, {"n": n, "k": k},
-                                tri.value(n + 1, k + 1), rhs, tol))
+                                rows[n + 1][k + 1], mode.q_power(k) * acc[k], tol))
     return reports
 
 
+def _horner_down(n: int, step) -> list:
+    """[B_0, ..., B_n] with B_(n+1) = 0 and B_k = step(k, B_(k+1))."""
+    out = [0] * (n + 2)
+    for k in range(n, -1, -1):
+        out[k] = step(k, out[k + 1])
+    return out
+
+
 def _check_horizontal_first(params, nmax, tol):
+    # rhs(n,k) = q^n B(k), B(k) = sum_{j=0..n-k} wn^j T(n+1,k+j+1) with
+    # wn = weight(n), by Horner's rule in wn: B(k) = T(n+1,k+1) + wn B(k+1).
     # Relates row n to row n+1, so the triangle extends one row past nmax.
-    tri = whitney_first_triangle(params, nmax + 1)
+    rows = whitney_first_triangle(params, nmax + 1).rows
     mode = params.qmode
     reports = []
     for n in range(nmax + 1):
-        wn = params.weight(n)
-        for k in range(n + 1):
-            rhs = 0
-            power = mode.q_power(0)
-            for j in range(n - k + 1):
-                rhs = rhs + power * tri.value(n + 1, k + j + 1)
-                power = power * wn
-            rhs = mode.q_power(n) * rhs
-            reports.append(_rep(IdentityId.HORIZONTAL_FIRST, params, {"n": n, "k": k},
-                                tri.value(n, k), rhs, tol))
+        above, wn, qn = rows[n + 1], params.weight(n), mode.q_power(n)
+        sums = _horner_down(n, lambda k, b: above[k + 1] + wn * b)
+        reports.extend(_rep(IdentityId.HORIZONTAL_FIRST, params, {"n": n, "k": k},
+                            rows[n][k], qn * sums[k], tol) for k in range(n + 1))
     return reports
 
 
 def _check_horizontal_second(params, nmax, tol):
-    tri = whitney_second_triangle(params, nmax + 1)
+    # rhs(n,k) = q^C(k,2) B(k), B(k) = sum_{c=k+1..n+1} (-1)^(c-k-1) q^-C(c,2)
+    # T(n+1,c) prod_{i=k+1..c-1} weight(i), by Horner's rule in the weights:
+    # B(k) = q^-C(k+1,2) T(n+1,k+1) - weight(k+1) B(k+1).
+    rows = whitney_second_triangle(params, nmax + 1).rows
     mode = params.qmode
     reports = []
     for n in range(nmax + 1):
-        for k in range(n + 1):
-            rhs = 0
-            # Telescoped ratio prod_{i=k+1..k+j} weight(i), grown with j.
-            ratio = mode.q_power(0)
-            for j in range(n - k + 1):
-                term = (mode.q_power(comb(k, 2) - comb(k + j + 1, 2)) * ratio
-                        * tri.value(n + 1, k + j + 1))
-                rhs = rhs + (term if j % 2 == 0 else -term)
-                ratio = ratio * params.weight(k + j + 1)
-            reports.append(_rep(IdentityId.HORIZONTAL_SECOND, params, {"n": n, "k": k},
-                                tri.value(n, k), rhs, tol))
+        above = rows[n + 1]
+        sums = _horner_down(n, lambda k, b: (mode.q_power(-comb(k + 1, 2)) * above[k + 1]
+                                             - params.weight(k + 1) * b))
+        reports.extend(_rep(IdentityId.HORIZONTAL_SECOND, params, {"n": n, "k": k},
+                            rows[n][k], mode.q_power(comb(k, 2)) * sums[k], tol)
+                       for k in range(n + 1))
     return reports
 
 
@@ -280,23 +279,25 @@ def _check_convolution(identity: IdentityId):
         # A column layout's left side lives on row n+1: one extra base row.
         tri = build(params, cap if row else cap + 1)
         shifts = sorted({shift(p, k) for p in range(cap + 1) for k in range(cap + 1)})
-        shifted = {s: build(params, cap, shift=s) for s in shifts}
+        shifted = {s: build(params, cap, shift=s).rows for s in shifts}
+        rows = tri.rows
         mode = params.qmode
         reports = []
         for p in range(cap + 1):
             for j in range(cap - p + 1):
                 for n in range(p + j + 1) if row else range(p + j, cap + 1):
-                    # Only the k where both factors lie inside their triangles.
+                    # Only the k where both factors lie inside their triangles,
+                    # so the rows are indexed directly.
                     band = range(max(0, n - j), min(n, p) + 1) if row else range(p, n - j + 1)
                     rhs = 0
                     for k in band:
-                        a = tri.value(p, k) if row else tri.value(k, p)
+                        a = rows[p][k] if row else rows[k][p]
                         if a:
                             e = inner(n, k)
                             if e:
                                 a = mode.q_power(e) * a
                             s = shifted[shift(p, k)]
-                            rhs = rhs + a * (s.value(j, n - k) if row else s.value(n - k, j))
+                            rhs = rhs + a * (s[j][n - k] if row else s[n - k][j])
                     e = outer(p, j)
                     if e:
                         rhs = mode.q_power(e) * rhs
@@ -357,22 +358,30 @@ def _check_privault_q(params, nmax, tol):
     stirling = whitney_second_triangle(
         WhitneyParams(Fraction(1), Fraction(0), mode), cap)
     mpow = [mval**0]
+    rpow = [rval**0]
     for _ in range(cap):
         mpow.append(mpow[-1] * mval)
+        rpow.append(rpow[-1] * rval)
+    # inner[x][k] = sum_j m^(k-j) S(k,j) x^j does not depend on n.
+    inner = {}
+    for x in PRIVAULT_X_VALUES:
+        xv = mode.of(x)
+        xpow = [xv**0]
+        for _ in range(cap):
+            xpow.append(xpow[-1] * xv)
+        sums = []
+        for k, row in enumerate(stirling.rows):
+            acc = 0
+            for j, s in enumerate(row):
+                if s:
+                    acc = acc + mpow[k - j] * s * xpow[j]
+            sums.append(acc)
+        inner[x] = sums
     for n in range(cap + 1):
         for x in PRIVAULT_X_VALUES:
-            xv = mode.of(x)
-            xpow = [xv**0]
-            for _ in range(n):
-                xpow.append(xpow[-1] * xv)
             rhs = 0
-            for k in range(n + 1):
-                inner = 0
-                for j in range(k + 1):
-                    s = stirling.value(k, j)
-                    if s:
-                        inner = inner + mpow[k - j] * s * xpow[j]
-                rhs = rhs + comb(n, k) * rval ** (n - k) * inner
+            for k, acc in enumerate(inner[x][:n + 1]):
+                rhs = rhs + comb(n, k) * rpow[n - k] * acc
             lhs = dowling_polynomial(params, n, x)
             reports.append(_rep(IdentityId.PRIVAULT_Q, params, {"n": n, "x": str(x)},
                                 lhs, rhs, tol))

@@ -10,9 +10,8 @@ constants with a TypeError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 from . import qcore
@@ -33,8 +32,14 @@ class _SymbolicQ:
     tag = "symbolic"
     is_exact = True
 
+    def __init__(self):
+        self._powers: dict[int, LaurentPoly] = {}
+
     def q_power(self, e: int) -> LaurentPoly:
-        return q_monomial(e)
+        p = self._powers.get(e)
+        if p is None:
+            p = self._powers[e] = q_monomial(e)
+        return p
 
     def q_int(self, n: int) -> LaurentPoly:
         return qcore.q_integer(n)
@@ -58,23 +63,21 @@ class _SymbolicQ:
 SYMBOLIC = _SymbolicQ()
 
 
-@lru_cache(maxsize=None)
-def _rational_q_int(q0: Fraction, n: int) -> Fraction:
-    if q0 == 1:
-        return Fraction(n)
-    return (q0**n - 1) / (q0 - 1)
-
-
-@lru_cache(maxsize=None)
-def _rational_q_power(q0: Fraction, e: int) -> Fraction:
-    return q0**e
+def memo_table():
+    """A dataclass field holding a per-instance memo, left out of ==, hash and repr."""
+    return field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class RationalQ:
-    """q fixed to a nonzero exact rational; every value is a Fraction."""
+    """q fixed to a nonzero exact rational; every value is a Fraction.
+
+    q-powers and q-integers are memoised per instance, keyed by the int.
+    """
 
     q0: Fraction
+    _powers: dict = memo_table()
+    _ints: dict = memo_table()
 
     def __post_init__(self):
         object.__setattr__(self, "q0", _exact_fraction(self.q0, "rational q0"))
@@ -85,10 +88,17 @@ class RationalQ:
     is_exact = True
 
     def q_power(self, e: int) -> Fraction:
-        return _rational_q_power(self.q0, e)
+        p = self._powers.get(e)
+        if p is None:
+            p = self._powers[e] = self.q0**e
+        return p
 
     def q_int(self, n: int) -> Fraction:
-        return _rational_q_int(self.q0, n)
+        v = self._ints.get(n)
+        if v is None:
+            q0 = self.q0
+            v = self._ints[n] = Fraction(n) if q0 == 1 else (q0**n - 1) / (q0 - 1)
+        return v
 
     def q_factorial(self, n: int) -> Fraction:
         out = Fraction(1)

@@ -20,14 +20,15 @@ weight is weight(s + i).  The convolution identities need these families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb, lcm
 from .errors import ZeroMError
 from .laurent import LaurentPoly
-from .modes import SYMBOLIC, FloatQ, QMode, Scalar, divide_exact, values_equal
+from .modes import (SYMBOLIC, FloatQ, QMode, Scalar, divide_exact, memo_table,
+                    values_equal)
 from .qcore import complete_homogeneous, elementary_symmetric
 from .report import IdentityReport
 
@@ -37,29 +38,34 @@ class WhitneyParams:
     """The (m, r, q-mode) triple that fixes one Whitney family.
 
     m and r are stored as exact Fractions in every mode; float inputs are
-    accepted only in float mode (converted exactly).
+    accepted only in float mode (converted exactly).  Weights and the report
+    point's (m, r, q) part are memoised per instance.
     """
 
     m: Fraction
     r: Fraction
     qmode: QMode = SYMBOLIC
+    _weights: dict = memo_table()
+    _prefix: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         allow_float = isinstance(self.qmode, FloatQ)
         object.__setattr__(self, "m", _as_fraction(self.m, allow_float, "m"))
         object.__setattr__(self, "r", _as_fraction(self.r, allow_float, "r"))
+        object.__setattr__(self, "_prefix", {"m": str(self.m), "r": str(self.r),
+                                             **self.qmode.describe()})
 
     def weight(self, i: int) -> Scalar:
         """m [i]_q + r in this mode's scalars."""
-        mode = self.qmode
-        return mode.of(self.m) * mode.q_int(i) + mode.of(self.r)
+        w = self._weights.get(i)
+        if w is None:
+            mode = self.qmode
+            w = self._weights[i] = mode.of(self.m) * mode.q_int(i) + mode.of(self.r)
+        return w
 
     def point(self, **indices) -> dict:
         """Parameter-point dict used in reports."""
-        out = {"m": str(self.m), "r": str(self.r)}
-        out.update(self.qmode.describe())
-        out.update(indices)
-        return out
+        return {**self._prefix, **indices}
 
 
 def _as_fraction(x, allow_float: bool, name: str) -> Fraction:

@@ -123,13 +123,50 @@ CONVOLUTION_RHS_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("q, identity", list(CONVOLUTION_RHS_SHA256))
-def test_convolution_right_sides_are_pinned(q, identity):
+def _rhs_digest(q: str, identity: IdentityId) -> str:
+    """sha256 of one identity's right sides at (3/2, 5/2), nmax 6; all must pass."""
     mode = SYMBOLIC if q == "symbolic" else RationalQ(Fraction(q))
     reports = verify(identity, WhitneyParams(Fraction(3, 2), Fraction(5, 2), mode), 6)
     assert all(rep.passed for rep in reports)
     text = "".join(canonical_text(rep.rhs) + "\n" for rep in reports)
-    assert hashlib.sha256(text.encode()).hexdigest() == CONVOLUTION_RHS_SHA256[q, identity]
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("q, identity", list(CONVOLUTION_RHS_SHA256))
+def test_convolution_right_sides_are_pinned(q, identity):
+    assert _rhs_digest(q, identity) == CONVOLUTION_RHS_SHA256[q, identity]
+
+
+#: sha256 of the canonical-text right sides at (3/2, 5/2), nmax 6, recorded when
+#: these checkers still summed growing powers and ratios term by term; the
+#: Horner and hoisted forms must give the same exact values.
+HORNER_RHS_SHA256 = {
+    ("1/2", IdentityId.VERTICAL_FIRST):
+        "eb816d4beb340f7e9b52a5f647f57dfa9080ec4306fb462830a5079161804b22",
+    ("1/2", IdentityId.VERTICAL_SECOND):
+        "b8f44a1414255e7f9d3d4df26845e65bb997640d18682d3d73668d50787d80e1",
+    ("1/2", IdentityId.HORIZONTAL_FIRST):
+        "a2b30e6d48da25e8a3ad8d5436df726c5b448e6c0dba78a489b3b00bba9eae91",
+    ("1/2", IdentityId.HORIZONTAL_SECOND):
+        "902975f0864e65bf02d617d72ca01aacca7ad4e54153e5c737d0ff26c40ae59b",
+    ("1/2", IdentityId.PRIVAULT_Q):
+        "c0b3c2286baa492c777fbb4a2a75f57bb61181e645c366ad1d372279188903ec",
+    ("symbolic", IdentityId.VERTICAL_FIRST):
+        "37dd71c3d30eb6deef47a1729cad92fd30df9f3d0dfabe5a08cd09b55b0f9a66",
+    ("symbolic", IdentityId.VERTICAL_SECOND):
+        "2181b1d2b2e0b05a819037c6522f24881605e91531269761b6281f4fad6560d7",
+    ("symbolic", IdentityId.HORIZONTAL_FIRST):
+        "665a057405fa0c5f4df73fe050fd15ebc984d8e514d4b9717e5434af04cd2dfd",
+    ("symbolic", IdentityId.HORIZONTAL_SECOND):
+        "2abfa008f3608b8c84adf99c08c6b29aa50cc0497c96bd6c8ad0234f6797a69f",
+    ("symbolic", IdentityId.PRIVAULT_Q):
+        "c41a3b389a539b9b611ee2b234edb50221d2570818239cfb40657f3ffa0cb0bc",
+}
+
+
+@pytest.mark.parametrize("q, identity", list(HORNER_RHS_SHA256))
+def test_horner_right_sides_are_pinned(q, identity):
+    assert _rhs_digest(q, identity) == HORNER_RHS_SHA256[q, identity]
 
 
 def test_boundary_trivial_at_nmax_zero():

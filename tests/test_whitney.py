@@ -6,7 +6,8 @@ import pytest
 from qwhitney import whitney
 from qwhitney.errors import ZeroMError
 from qwhitney.laurent import ONE, LaurentPoly, q_monomial
-from qwhitney.modes import FloatQ, RationalQ
+from qwhitney.modes import SYMBOLIC, FloatQ, RationalQ
+from qwhitney.qcore import q_integer
 from qwhitney.whitney import (
     WhitneyParams,
     defining_relation_check,
@@ -28,6 +29,69 @@ M, R = Fraction(7, 3), Fraction(2)
 PARAMS = WhitneyParams(M, R)
 GRID = [(Fraction(1), Fraction(0)), (Fraction(2), Fraction(1)),
         (Fraction(3, 2), Fraction(5, 2))]
+
+
+@pytest.mark.parametrize("q0", [Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1)])
+def test_rational_q_tables_hold_exact_values(q0):
+    mode = RationalQ(q0)
+    for _ in range(2):  # the second pass reads the tables
+        for e in range(-6, 7):
+            assert mode.q_power(e) == q0**e
+            assert type(mode.q_power(e)) is Fraction
+        for n in range(-3, 8):
+            assert mode.q_int(n) == (Fraction(n) if q0 == 1 else (q0**n - 1) / (q0 - 1))
+    params = WhitneyParams(M, R, mode)
+    for _ in range(2):
+        for i in range(8):
+            assert params.weight(i) == M * sum(q0**j for j in range(i)) + R
+
+
+def test_symbolic_tables_hold_exact_values():
+    for _ in range(2):
+        for e in range(-6, 7):
+            assert SYMBOLIC.q_power(e) == q_monomial(e)
+        for i in range(8):
+            assert PARAMS.weight(i) == M * q_integer(i) + R
+
+
+@pytest.mark.parametrize("mode", [RationalQ(Fraction(-1, 2)), SYMBOLIC, FloatQ(0.5)],
+                         ids=["rational", "symbolic", "float"])
+def test_warm_tables_leave_equality_hash_and_repr_alone(mode):
+    fresh_mode = RationalQ(mode.q0) if isinstance(mode, RationalQ) else mode
+    warm = WhitneyParams(Fraction(3, 2), Fraction(5, 2), mode)
+    for i in range(-3, 9):
+        mode.q_power(i)
+        warm.weight(max(i, 0))
+        warm.point(n=i)
+    fresh = WhitneyParams(Fraction(3, 2), Fraction(5, 2), fresh_mode)
+    assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+    assert mode == fresh_mode and hash(mode) == hash(fresh_mode)
+    assert repr(mode) == repr(fresh_mode)
+    assert repr(RationalQ(Fraction(-1, 2))) == "RationalQ(q0=Fraction(-1, 2))"
+    assert repr(fresh).startswith("WhitneyParams(m=Fraction(3, 2), r=Fraction(5, 2), qmode=")
+
+
+def test_point_is_a_fresh_dict_per_report():
+    params = WhitneyParams(Fraction(3, 2), Fraction(5, 2), RationalQ(Fraction(-1, 2)))
+    first = params.point(n=1, k=0)
+    assert first == {"m": "3/2", "r": "5/2", "qmode": "rational", "q0": "-1/2", "n": 1, "k": 0}
+    assert list(first) == ["m", "r", "qmode", "q0", "n", "k"]
+    first["m"] = "changed"
+    assert params.point(n=2) == {"m": "3/2", "r": "5/2", "qmode": "rational", "q0": "-1/2",
+                                 "n": 2}
+
+
+def test_triangle_cache_hits_for_a_fresh_equal_params():
+    def make():
+        return WhitneyParams(Fraction(11, 7), Fraction(3, 5), RationalQ(Fraction(2, 9)))
+
+    warm = make()
+    warm.weight(4)
+    before = whitney._first_rows.cache_info()
+    whitney_first_triangle(warm, 4)
+    whitney_first_triangle(make(), 4)
+    after = whitney._first_rows.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
 
 
 def test_params_validation():
