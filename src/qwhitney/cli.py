@@ -236,6 +236,8 @@ def _fmt(x: float) -> str:
 def run_dist(args) -> int:
     if args.n is not None and args.n < 0:
         raise DomainError("--n must be >= 0")
+    if args.op == "moments" and args.tol > MOMENT_REL_TOL:  # the oracle's series stops at tol
+        raise DomainError(f"--op moments needs --tol <= {MOMENT_REL_TOL}, got {args.tol}")
     spec = QDistSpec(args.family, args.q, args.lam, tol=args.tol)
     if args.op == "pmf":
         stream = _pmf_stream(spec)

@@ -12,12 +12,11 @@ the indices, never supplied by callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from enum import Enum
 from fractions import Fraction
 from itertools import product
 from math import comb
-from typing import Callable, Sequence
 
 from .errors import (
     IncompatibleModeError,
@@ -26,6 +25,7 @@ from .errors import (
     ZeroMError,
 )
 from .modes import RationalQ, Scalar, divide_exact, values_equal
+from .record import Record
 from .report import IdentityReport
 from .whitney import (
     WhitneyParams,
@@ -528,16 +528,14 @@ def hankel_transform(seq: Sequence[Scalar], order: int) -> list[Scalar]:
     return out
 
 
-@dataclass(frozen=True)
-class HankelProbeResult:
+class HankelProbeResult(Record):
     """Hankel sequences of the Dowling numbers across several r values."""
 
-    m: Fraction
-    q0: Fraction
-    order: int
-    rows: dict
-    equal: bool
-    common: tuple | None
+    __slots__ = _fields = ("m", "q0", "order", "rows", "equal", "common")
+
+    def __init__(self, m: Fraction, q0: Fraction, order: int, rows: dict, equal: bool,
+                 common: tuple | None):
+        self._set(m=m, q0=q0, order=order, rows=rows, equal=equal, common=common)
 
 
 def hankel_probe(m, r_values: Sequence, q0, order: int) -> HankelProbeResult:

@@ -21,14 +21,14 @@ denominator is 1 and ``*q^0`` entirely, e.g. ``-1*q^-1 + 2 + 1/3*q^2``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Union
 
 from .errors import EvalAtZeroError, InexactDivisionError
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 
 class LaurentPoly:
@@ -52,6 +52,9 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return LaurentPoly, (self.val, self.coeffs)
 
     @classmethod
     def _from_ints(cls, val: int, nums: list, den: int) -> "LaurentPoly":

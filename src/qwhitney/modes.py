@@ -10,14 +10,13 @@ constants with a TypeError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
 
 from . import qcore
 from .laurent import LaurentPoly, parse_laurent, q_monomial
+from .record import Record
 
-Scalar = Union[int, Fraction, float, LaurentPoly]
+Scalar = int | Fraction | float | LaurentPoly
 
 
 def _exact_fraction(x, what: str) -> Fraction:
@@ -59,30 +58,27 @@ class _SymbolicQ:
     def __repr__(self):
         return "SYMBOLIC"
 
+    def __reduce__(self):
+        return "SYMBOLIC"  # copy and pickle keep the singleton
+
 
 SYMBOLIC = _SymbolicQ()
 
 
-def memo_table():
-    """A dataclass field holding a per-instance memo, left out of ==, hash and repr."""
-    return field(default_factory=dict, init=False, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class RationalQ:
+class RationalQ(Record):
     """q fixed to a nonzero exact rational; every value is a Fraction.
 
     q-powers and q-integers are memoised per instance, keyed by the int.
     """
 
-    q0: Fraction
-    _powers: dict = memo_table()
-    _ints: dict = memo_table()
+    __slots__ = ("q0", "_powers", "_ints")
+    _fields = ("q0",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "q0", _exact_fraction(self.q0, "rational q0"))
-        if self.q0 == 0:
+    def __init__(self, q0):
+        q0 = _exact_fraction(q0, "rational q0")
+        if q0 == 0:
             raise ValueError("rational mode needs q0 != 0")
+        self._set(q0=q0, _powers={}, _ints={})
 
     tag = "rational"
     is_exact = True
@@ -116,16 +112,16 @@ class RationalQ:
         return {"qmode": self.tag, "q0": str(self.q0)}
 
 
-@dataclass(frozen=True)
-class FloatQ:
+class FloatQ(Record):
     """q fixed to a nonzero float; every value is a float."""
 
-    q0: float
+    __slots__ = _fields = ("q0",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "q0", float(self.q0))
-        if self.q0 == 0.0:
+    def __init__(self, q0):
+        q0 = float(q0)
+        if q0 == 0.0:
             raise ValueError("float mode needs q0 != 0")
+        self._set(q0=q0)
 
     tag = "float"
     is_exact = False
@@ -154,7 +150,7 @@ class FloatQ:
         return {"qmode": self.tag, "q0": self.q0}
 
 
-QMode = Union[_SymbolicQ, RationalQ, FloatQ]
+QMode = _SymbolicQ | RationalQ | FloatQ
 
 
 def parse_qmode(text: str) -> QMode:

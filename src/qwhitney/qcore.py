@@ -8,8 +8,8 @@ q-exponential pair e_q / ehat_q works in floating point for 0 < q < 1.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from functools import lru_cache
-from typing import Callable, Sequence
 
 from .errors import DivergentSeriesError, DomainError, NonConvergenceError
 from .laurent import ONE, ZERO, LaurentPoly
@@ -19,9 +19,9 @@ TERM_CAP = 10**6
 
 @lru_cache(maxsize=None)
 def q_integer(n: int) -> LaurentPoly:
-    """[n]_q = 1 + q + ... + q^(n-1); [0]_q = 0."""
+    """[n]_q = 1 + q + ... + q^(n-1); [0]_q = 0; [n]_q = -(q^n + ... + q^-1) for n < 0."""
     if n < 0:
-        raise ValueError("q_integer needs n >= 0")
+        return LaurentPoly(n, (-1,) * -n)
     if n == 0:
         return ZERO
     return LaurentPoly(0, (1,) * n)

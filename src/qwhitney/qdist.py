@@ -21,44 +21,40 @@ from __future__ import annotations
 import random
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import repeat
 from math import comb, inf
-from typing import Callable, Iterator
 
 from .errors import DomainError, NonConvergenceError
 from .modes import SYMBOLIC
 from .qcore import _float_q_int, q_exp, q_exp_hat
+from .record import Record
 from .whitney import WhitneyParams, whitney_second_triangle
 
 FAMILIES = ("heine", "euler")
 
 
-@dataclass(frozen=True)
-class QDistSpec:
+class QDistSpec(Record):
     """Distribution family plus its parameters and series tolerances."""
 
-    family: str
-    q: float
-    lam: float
-    tol: float = 1e-12
-    term_cap: int = 10**6
+    __slots__ = _fields = ("family", "q", "lam", "tol", "term_cap")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise DomainError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if not 0.0 < self.q < 1.0:
-            raise DomainError(f"q must lie in (0, 1), got {self.q}")
-        if not self.lam > 0.0:
-            raise DomainError(f"lambda must be positive, got {self.lam}")
-        if self.tol <= 0.0:
+    def __init__(self, family: str, q: float, lam: float, tol: float = 1e-12,
+                 term_cap: int = 10**6):
+        if family not in FAMILIES:
+            raise DomainError(f"family must be one of {FAMILIES}, got {family!r}")
+        if not 0.0 < q < 1.0:
+            raise DomainError(f"q must lie in (0, 1), got {q}")
+        if not lam > 0.0:
+            raise DomainError(f"lambda must be positive, got {lam}")
+        if tol <= 0.0:
             raise DomainError("tol must be positive")
-        if self.term_cap < 1:
+        if term_cap < 1:
             raise DomainError("term_cap must be >= 1")
-        if self.family == "euler" and self.lam * (1.0 - self.q) >= 1.0:
-            raise DomainError(
-                f"euler needs lambda (1-q) < 1, got {self.lam * (1.0 - self.q)}")
+        if family == "euler" and lam * (1.0 - q) >= 1.0:
+            raise DomainError(f"euler needs lambda (1-q) < 1, got {lam * (1.0 - q)}")
+        self._set(family=family, q=q, lam=lam, tol=tol, term_cap=term_cap)
 
     @property
     def q_mean(self) -> float:

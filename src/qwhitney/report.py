@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .modes import Scalar, canonical_text
+from .record import Record
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     """One identity instance at one parameter point.
 
     `point` carries the parameter values and the identity-specific indices;
@@ -16,11 +14,16 @@ class IdentityReport:
     relative tolerance in float mode.
     """
 
-    identity: str
-    point: dict
-    lhs: Scalar
-    rhs: Scalar
-    passed: bool
+    __slots__ = _fields = ("identity", "point", "lhs", "rhs", "passed")
+
+    def __init__(self, identity: str, point: dict, lhs: Scalar, rhs: Scalar, passed: bool):
+        # Built once per check, so the slots are stored directly: half the cost of _set.
+        store = object.__setattr__
+        store(self, "identity", identity)
+        store(self, "point", point)
+        store(self, "lhs", lhs)
+        store(self, "rhs", rhs)
+        store(self, "passed", passed)
 
     def as_json_dict(self) -> dict:
         return {

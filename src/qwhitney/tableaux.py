@@ -17,31 +17,29 @@ for the triangle recurrences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import combinations, combinations_with_replacement
-from typing import Iterator
 
 from .modes import Scalar
+from .record import Record
 from .whitney import WhitneyParams
 
 
-@dataclass(frozen=True)
-class ATableau:
+class ATableau(Record):
     """Column lengths in decreasing order, with their enumeration context."""
 
-    lengths: tuple[int, ...]
-    distinct: bool
-    universe_max: int
+    __slots__ = _fields = ("lengths", "distinct", "universe_max")
 
-    def __post_init__(self):
-        if any(c < 0 or c > self.universe_max for c in self.lengths):
+    def __init__(self, lengths: tuple[int, ...], distinct: bool, universe_max: int):
+        if any(c < 0 or c > universe_max for c in lengths):
             raise ValueError("column lengths must lie in 0..universe_max")
-        pairs = zip(self.lengths, self.lengths[1:])
-        if self.distinct:
+        pairs = zip(lengths, lengths[1:])
+        if distinct:
             if not all(a > b for a, b in pairs):
                 raise ValueError("distinct tableau lengths must strictly decrease")
         elif not all(a >= b for a, b in pairs):
             raise ValueError("tableau lengths must weakly decrease")
+        self._set(lengths=lengths, distinct=distinct, universe_max=universe_max)
 
 
 def enumerate_distinct(universe_max: int, count: int) -> Iterator[ATableau]:

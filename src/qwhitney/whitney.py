@@ -20,21 +20,19 @@ weight is weight(s + i).  The convolution identities need these families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb, lcm
 from .errors import ZeroMError
 from .laurent import LaurentPoly
-from .modes import (SYMBOLIC, FloatQ, QMode, Scalar, divide_exact, memo_table,
-                    values_equal)
+from .modes import SYMBOLIC, FloatQ, QMode, Scalar, divide_exact, values_equal
 from .qcore import complete_homogeneous, elementary_symmetric
+from .record import Record
 from .report import IdentityReport
 
 
-@dataclass(frozen=True)
-class WhitneyParams:
+class WhitneyParams(Record):
     """The (m, r, q-mode) triple that fixes one Whitney family.
 
     m and r are stored as exact Fractions in every mode; float inputs are
@@ -42,18 +40,15 @@ class WhitneyParams:
     point's (m, r, q) part are memoised per instance.
     """
 
-    m: Fraction
-    r: Fraction
-    qmode: QMode = SYMBOLIC
-    _weights: dict = memo_table()
-    _prefix: dict = field(init=False, compare=False, repr=False)
+    __slots__ = ("m", "r", "qmode", "_weights", "_prefix")
+    _fields = ("m", "r", "qmode")
 
-    def __post_init__(self):
-        allow_float = isinstance(self.qmode, FloatQ)
-        object.__setattr__(self, "m", _as_fraction(self.m, allow_float, "m"))
-        object.__setattr__(self, "r", _as_fraction(self.r, allow_float, "r"))
-        object.__setattr__(self, "_prefix", {"m": str(self.m), "r": str(self.r),
-                                             **self.qmode.describe()})
+    def __init__(self, m, r, qmode: QMode = SYMBOLIC):
+        allow_float = isinstance(qmode, FloatQ)
+        m = _as_fraction(m, allow_float, "m")
+        r = _as_fraction(r, allow_float, "r")
+        self._set(m=m, r=r, qmode=qmode, _weights={},
+                  _prefix={"m": str(m), "r": str(r), **qmode.describe()})
 
     def weight(self, i: int) -> Scalar:
         """m [i]_q + r in this mode's scalars."""
@@ -78,14 +73,13 @@ def _as_fraction(x, allow_float: bool, name: str) -> Fraction:
     raise TypeError(f"{name} must be an int or Fraction (float only in float mode)")
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """Rows n = 0..nmax of one kind of Whitney numbers under one parameter set."""
+class Triangle(Record):
+    """Rows n = 0..nmax of Whitney numbers of one kind, "first" or "second", for one params."""
 
-    kind: str  # "first" | "second"
-    params: WhitneyParams
-    nmax: int
-    rows: tuple
+    __slots__ = _fields = ("kind", "params", "nmax", "rows")
+
+    def __init__(self, kind: str, params: WhitneyParams, nmax: int, rows: tuple):
+        self._set(kind=kind, params=params, nmax=nmax, rows=rows)
 
     def value(self, n: int, k: int) -> Scalar:
         """Entry at (n, k); 0 outside 0 <= k <= n, per the usual convention."""

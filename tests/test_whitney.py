@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import comb
 
@@ -46,6 +48,16 @@ def test_rational_q_tables_hold_exact_values(q0):
             assert params.weight(i) == M * sum(q0**j for j in range(i)) + R
 
 
+@pytest.mark.parametrize("q0", [Fraction(1, 2), Fraction(-1, 2), Fraction(2), Fraction(1)])
+def test_modes_agree_on_q_integers_of_either_sign(q0):
+    for n in range(-4, 5):
+        exact = RationalQ(q0).q_int(n)
+        assert SYMBOLIC.q_int(n).evaluate(q0) == exact
+        assert FloatQ(float(q0)).q_int(n) == pytest.approx(float(exact), rel=1e-12)
+    assert q_integer(-3) == LaurentPoly(-3, (-1, -1, -1))  # -(q^-3 + q^-2 + q^-1)
+    assert WhitneyParams(M, R).weight(-1) == M * q_integer(-1) + R
+
+
 def test_symbolic_tables_hold_exact_values():
     for _ in range(2):
         for e in range(-6, 7):
@@ -65,6 +77,9 @@ def test_warm_tables_leave_equality_hash_and_repr_alone(mode):
         warm.point(n=i)
     fresh = WhitneyParams(Fraction(3, 2), Fraction(5, 2), fresh_mode)
     assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+    for clone in (copy.copy(warm), copy.deepcopy(warm), pickle.loads(pickle.dumps(warm))):
+        # A copy is rebuilt from the fields, so its memo tables start empty.
+        assert clone == fresh and hash(clone) == hash(fresh) and not clone._weights
     assert mode == fresh_mode and hash(mode) == hash(fresh_mode)
     assert repr(mode) == repr(fresh_mode)
     assert repr(RationalQ(Fraction(-1, 2))) == "RationalQ(q0=Fraction(-1, 2))"
