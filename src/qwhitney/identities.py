@@ -224,12 +224,14 @@ def _r_decomposition(params, kind: str, r1: Fraction, nmax: int):
     part = build(WhitneyParams(params.m, r1, params.qmode), nmax)
     x = r1 - params.r if kind == "first" else params.r - r1
     binom = [[comb(a, b) * x ** (a - b) for b in range(a + 1)] for a in range(nmax + 1)]
+    rows = part.rows
+    total = params.qmode.sum_of_products
     for n in range(nmax + 1):
         for k in range(n + 1):
             if kind == "first":
-                rhs = sum(part.value(n, j) * binom[j][k] for j in range(k, n + 1))
+                rhs = total([(rows[n][j], binom[j][k]) for j in range(k, n + 1)])
             else:
-                rhs = sum(binom[n][j] * part.value(j, k) for j in range(n, k - 1, -1))
+                rhs = total([(binom[n][j], rows[j][k]) for j in range(n, k - 1, -1)])
             yield n, k, tri.value(n, k), rhs
 
 
@@ -289,15 +291,15 @@ def _check_convolution(identity: IdentityId):
                     # Only the k where both factors lie inside their triangles,
                     # so the rows are indexed directly.
                     band = range(max(0, n - j), min(n, p) + 1) if row else range(p, n - j + 1)
-                    rhs = 0
+                    terms = []
                     for k in band:
                         a = rows[p][k] if row else rows[k][p]
                         if a:
-                            e = inner(n, k)
-                            if e:
-                                a = mode.q_power(e) * a
                             s = shifted[shift(p, k)]
-                            rhs = rhs + a * (s[j][n - k] if row else s[n - k][j])
+                            b = s[j][n - k] if row else s[n - k][j]
+                            e = inner(n, k)
+                            terms.append((mode.q_power(e), a, b) if e else (a, b))
+                    rhs = mode.sum_of_products(terms)
                     e = outer(p, j)
                     if e:
                         rhs = mode.q_power(e) * rhs
@@ -329,23 +331,18 @@ def _check_orthogonality(params, nmax, tol):
     if params.m == 0:
         raise ZeroMError("orthogonality requires m != 0")
     cap = min(nmax, HEAVY_CAP)
-    w = whitney_first_triangle(params, cap)
-    W = whitney_second_triangle(params, cap)
-    one = params.qmode.q_power(0)
+    w = whitney_first_triangle(params, cap).rows
+    W = whitney_second_triangle(params, cap).rows
+    mode = params.qmode
+    one = mode.q_power(0)
     reports = []
     for n in range(cap + 1):
         for j in range(n + 1):
             target = one if n == j else 0
-            lhs = 0
-            for k in range(j, n + 1):
-                lhs = lhs + w.value(n, k) * W.value(k, j)
-            reports.append(_rep(IdentityId.ORTHOGONALITY, params,
-                                {"n": n, "j": j, "direction": "wW"}, lhs, target, tol))
-            lhs = 0
-            for k in range(j, n + 1):
-                lhs = lhs + W.value(n, k) * w.value(k, j)
-            reports.append(_rep(IdentityId.ORTHOGONALITY, params,
-                                {"n": n, "j": j, "direction": "Ww"}, lhs, target, tol))
+            for direction, a, b in (("wW", w, W), ("Ww", W, w)):
+                lhs = mode.sum_of_products([(a[n][k], b[k][j]) for k in range(j, n + 1)])
+                reports.append(_rep(IdentityId.ORTHOGONALITY, params,
+                                    {"n": n, "j": j, "direction": direction}, lhs, target, tol))
     return reports
 
 
@@ -369,19 +366,13 @@ def _check_privault_q(params, nmax, tol):
         xpow = [xv**0]
         for _ in range(cap):
             xpow.append(xpow[-1] * xv)
-        sums = []
-        for k, row in enumerate(stirling.rows):
-            acc = 0
-            for j, s in enumerate(row):
-                if s:
-                    acc = acc + mpow[k - j] * s * xpow[j]
-            sums.append(acc)
-        inner[x] = sums
+        inner[x] = [mode.sum_of_products([(mpow[k - j], s, xpow[j])
+                                          for j, s in enumerate(row) if s])
+                    for k, row in enumerate(stirling.rows)]
     for n in range(cap + 1):
         for x in PRIVAULT_X_VALUES:
-            rhs = 0
-            for k, acc in enumerate(inner[x][:n + 1]):
-                rhs = rhs + comb(n, k) * rpow[n - k] * acc
+            rhs = mode.sum_of_products([(comb(n, k), rpow[n - k], acc)
+                                        for k, acc in enumerate(inner[x][:n + 1])])
             lhs = dowling_polynomial(params, n, x)
             reports.append(_rep(IdentityId.PRIVAULT_Q, params, {"n": n, "x": str(x)},
                                 lhs, rhs, tol))

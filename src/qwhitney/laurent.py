@@ -10,9 +10,11 @@ equality is a tuple comparison.
 The ring operations run on ints alone (content and primitive part, Knuth,
 TAOCP vol. 2, section 4.6.1): a product is an int convolution over
 den * den, a sum adds numerators over a common denominator, and one
-variadic gcd restores the form.  `coeffs` is derived on demand for readers
-that want rational coefficients: `int` where a coefficient is integral, a
-reduced `fractions.Fraction` otherwise.  All operations are pure.
+variadic gcd restores the form.  `sum_of_products` fuses a whole sum of
+products the same way, with one gcd per sum instead of one per operation.
+`coeffs` is derived on demand for readers that want rational coefficients:
+`int` where a coefficient is integral, a reduced `fractions.Fraction`
+otherwise.  All operations are pure.
 
 The canonical text form lists terms by ascending exponent as
 ``<num>/<den>*q^<exp>`` joined by `` + ``, omitting ``/<den>`` when the
@@ -188,18 +190,8 @@ class LaurentPoly:
             a, b = self.nums, other.nums
             if not a or not b:
                 return ZERO
-            if len(a) == 1:
-                c = a[0]
-                out = [c * x for x in b]
-            elif len(b) == 1:
-                c = b[0]
-                out = [c * x for x in a]
-            else:
-                out = [0] * (len(a) + len(b) - 1)
-                for i, ci in enumerate(a):
-                    for j, cj in enumerate(b, i):
-                        out[j] += ci * cj
-            return _fill(_new(LaurentPoly), self.val + other.val, out, self.den * other.den)
+            return _fill(_new(LaurentPoly), self.val + other.val, _convolve(a, b),
+                         self.den * other.den)
         if isinstance(other, (int, Fraction)):
             if not other or not self.nums:
                 return ZERO
@@ -356,6 +348,75 @@ def _fill(p: LaurentPoly, val: int, nums: list, den: int) -> LaurentPoly:
             den //= g
             nums = [c // g for c in nums]
     return _store(p, val + lo, tuple(nums), den)
+
+
+def _convolve(a, b) -> list:
+    """Product of two nonempty int coefficient sequences (a factor (1,) returns the other)."""
+    if len(a) == 1:
+        c = a[0]
+        return b if c == 1 else [c * x for x in b]
+    if len(b) == 1:
+        c = b[0]
+        return a if c == 1 else [c * x for x in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ci in enumerate(a):
+        for j, cj in enumerate(b, i):
+            out[j] += ci * cj
+    return out
+
+
+def sum_of_products(terms: Iterable[tuple]) -> LaurentPoly:
+    """Sum over terms of the product of each term's factors, normalised once.
+
+    A factor is a LaurentPoly, an int or a Fraction.  Each product is an int
+    convolution over the product of the factors' denominators, left
+    unreduced; a term with a zero factor is skipped.  The products are added
+    into one dense int list over their least common denominator, and one
+    `_fill` restores the primitive form, where `+` and `*` would reduce after
+    every operation.
+    """
+    parts = []
+    lo = hi = None
+    den = 1
+    for term in terms:
+        val, nums, d = 0, None, 1
+        for f in term:
+            if type(f) is LaurentPoly:
+                fn = f.nums
+                if not fn:
+                    break
+                val += f.val
+                d *= f.den
+                nums = fn if nums is None else _convolve(nums, fn)
+            else:
+                if not f:
+                    break
+                c = f.numerator
+                d *= f.denominator
+                if nums is None:
+                    nums = (c,)
+                elif c != 1:
+                    nums = [c * x for x in nums]
+        else:
+            parts.append((val, nums, d))
+            if den % d:
+                den = den // gcd(den, d) * d
+            top = val + len(nums)
+            if lo is None:
+                lo, hi = val, top
+            elif val < lo:
+                lo = val
+            if top > hi:
+                hi = top
+    if not parts:
+        return ZERO
+    out = [0] * (hi - lo)
+    for val, nums, d in parts:
+        off = val - lo
+        end = off + len(nums)
+        scale = den // d
+        out[off:end] = map(add, out[off:end], nums if scale == 1 else [c * scale for c in nums])
+    return _fill(_new(LaurentPoly), lo, out, den)
 
 
 def _rational(c: int, den: int) -> Rational:

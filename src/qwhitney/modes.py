@@ -1,9 +1,13 @@
 """Scalar modes: symbolic q, exact rational q, and floating-point q.
 
 A mode supplies the handful of primitives the generic algorithms need
-(powers of q, q-integers, injection of exact rational constants) so that
-every higher-level computation runs unchanged over Laurent polynomials,
-Fractions, or floats.  Values from different modes never mix silently:
+(powers of q, q-integers, injection of exact rational constants, and
+`sum_of_products`, a sum of 2- and 3-factor products) so that every
+higher-level computation runs unchanged over Laurent polynomials,
+Fractions, or floats.  The exact modes fuse a sum of products: numerators
+are accumulated over a common denominator and reduced once per sum (Knuth,
+TAOCP vol. 2, section 4.5.1); float mode adds left to right, as `acc + a*b`
+does.  Values from different modes never mix silently:
 LaurentPoly arithmetic rejects floats, and the exact modes reject float
 constants with a TypeError.
 """
@@ -11,8 +15,9 @@ constants with a TypeError.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from . import qcore
+from . import laurent, qcore
 from .laurent import LaurentPoly, parse_laurent, q_monomial
 from .record import Record
 
@@ -48,6 +53,8 @@ class _SymbolicQ:
 
     def q_binomial(self, n: int, k: int) -> LaurentPoly:
         return qcore.q_binomial(n, k)
+
+    sum_of_products = staticmethod(laurent.sum_of_products)
 
     def of(self, x) -> Fraction:
         return _exact_fraction(x, "symbolic-mode constant")
@@ -105,6 +112,34 @@ class RationalQ(Record):
     def q_binomial(self, n: int, k: int) -> Fraction:
         return qcore.q_binomial(n, k).evaluate(self.q0)
 
+    @staticmethod
+    def sum_of_products(terms) -> Fraction:
+        """Sum over terms (2- or 3-tuples of ints and Fractions) of their products.
+
+        One running numerator over a common denominator; terms with a zero
+        numerator are skipped, and the sum is reduced once, at the end.
+        """
+        num, den = 0, 1
+        for term in terms:
+            if len(term) == 2:
+                a, b = term
+                n = a.numerator * b.numerator
+                if not n:
+                    continue
+                d = a.denominator * b.denominator
+            else:
+                a, b, c = term
+                n = a.numerator * b.numerator * c.numerator
+                if not n:
+                    continue
+                d = a.denominator * b.denominator * c.denominator
+            if den % d:
+                g = d // gcd(den, d)
+                num *= g
+                den *= g
+            num += n * (den // d)
+        return Fraction(num, den)
+
     def of(self, x) -> Fraction:
         return _exact_fraction(x, "rational-mode constant")
 
@@ -142,6 +177,19 @@ class FloatQ(Record):
         if k < 0 or k > n:
             return 0.0
         return float(qcore.q_binomial(n, k).evaluate(self.q0))
+
+    @staticmethod
+    def sum_of_products(terms) -> float:
+        """acc = acc + a*b (or a*b*c) left to right from 0, rounding as that loop does."""
+        acc = 0
+        for term in terms:
+            if len(term) == 2:
+                a, b = term
+                acc = acc + a * b
+            else:
+                a, b, c = term
+                acc = acc + a * b * c
+        return acc
 
     def of(self, x) -> float:
         return float(x)

@@ -27,10 +27,10 @@ from itertools import repeat
 from math import comb, inf
 
 from .errors import DomainError, NonConvergenceError
-from .modes import SYMBOLIC
+from .modes import SYMBOLIC, FloatQ
 from .qcore import _float_q_int, q_exp, q_exp_hat
 from .record import Record
-from .whitney import WhitneyParams, whitney_second_triangle
+from .whitney import WhitneyParams, _q_falling, whitney_second_triangle
 
 FAMILIES = ("heine", "euler")
 
@@ -48,8 +48,12 @@ class QDistSpec(Record):
             raise DomainError(f"q must lie in (0, 1), got {q}")
         if not lam > 0.0:
             raise DomainError(f"lambda must be positive, got {lam}")
+        if lam == inf:
+            raise DomainError(f"lambda must be finite, got {lam}")
         if tol <= 0.0:
             raise DomainError("tol must be positive")
+        if not tol < 1.0:  # also nan: a series stopped by it would cut off at once or never
+            raise DomainError(f"tol must lie in (0, 1), got {tol}")
         if term_cap < 1:
             raise DomainError("term_cap must be >= 1")
         if family == "euler" and lam * (1.0 - q) >= 1.0:
@@ -146,16 +150,10 @@ def moment_pairs(spec: QDistSpec, m: float, r: float,
     whitney_moment.  Each oracle is direct_moment_oracle over the pmf.
     """
     q = spec.q
+    mode = FloatQ(q)
     for k in range(top + 1):
-        def falling(x: int, k: int = k) -> float:
-            if x < k:
-                return 0.0
-            out = 1.0
-            for i in range(k):
-                out *= _float_q_int(x - i, q)
-            return out
-
-        yield "factorial", k, q_factorial_moment(spec, k), direct_moment_oracle(spec, falling)
+        yield ("factorial", k, q_factorial_moment(spec, k),
+               direct_moment_oracle(spec, lambda x, k=k: _q_falling(mode, x, k)))
     for n in range(top + 1):
         yield ("whitney", n, whitney_moment(spec, m, r, n),
                direct_moment_oracle(spec, lambda x, n=n: (m * _float_q_int(x, q) + r) ** n))

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, repeat
 from math import comb, lcm
+from operator import mul
+
 from .errors import ZeroMError
 from .laurent import LaurentPoly
 from .modes import SYMBOLIC, FloatQ, QMode, Scalar, divide_exact, values_equal
@@ -405,15 +407,10 @@ def defining_first(params: WhitneyParams, ell: int, n: int,
     if ell < 0 or n < 0:
         raise ValueError("ell and n must be >= 0")
     mode = params.qmode
-    base = params.weight(ell)
     w = whitney_first_triangle(params, n)
     lhs = mode.of(params.m)**n * _q_falling(mode, ell, n)
-    rhs = 0
-    base_k = mode.q_power(0)
-    for k in range(n + 1):
-        if k:
-            base_k = base_k * base
-        rhs = rhs + w.value(n, k) * base_k
+    powers = accumulate(repeat(params.weight(ell), n), mul, initial=mode.q_power(0))
+    rhs = mode.sum_of_products(list(zip(w.row(n), powers)))
     return IdentityReport("defining_first", params.point(ell=ell, n=n), lhs, rhs,
                           values_equal(lhs, rhs, mode, tol))
 
@@ -427,15 +424,11 @@ def defining_second(params: WhitneyParams, ell: int, n: int,
     mval = mode.of(params.m)
     W = whitney_second_triangle(params, n)
     lhs = params.weight(ell)**n
-    rhs = 0
-    m_k = mval**0
-    falling = mode.q_power(0)
-    for k in range(n + 1):
-        if k:
-            m_k = m_k * mval
-            if k <= ell + 1:  # [ell - k + 1]_q is 0 at k = ell + 1, and 0 stays 0
-                falling = falling * mode.q_int(ell - k + 1)
-        rhs = rhs + m_k * W.value(n, k) * falling
+    m_k = accumulate(repeat(mval, n), mul, initial=mval**0)
+    falling = [mode.q_power(0)]
+    for k in range(1, n + 1):  # [ell - k + 1]_q is 0 at k = ell + 1, and 0 stays 0
+        falling.append(falling[-1] * mode.q_int(ell - k + 1) if k <= ell + 1 else falling[-1])
+    rhs = mode.sum_of_products(list(zip(m_k, W.row(n), falling)))
     return IdentityReport("defining_second", params.point(ell=ell, n=n), lhs, rhs,
                           values_equal(lhs, rhs, mode, tol))
 

@@ -274,6 +274,27 @@ def test_dist_moments_tol_above_the_comparison_bound_exits_two(capsys, tol, code
         assert err == "" and len(out.splitlines()) == 8
 
 
+@pytest.mark.parametrize("lam,options,message", [
+    ("0.7", ["--op", "pmf", "--tol", "inf", "--n", "2"], "tol must lie in (0, 1), got inf"),
+    ("0.7", ["--op", "sample", "--tol", "2"], "tol must lie in (0, 1), got 2.0"),
+    ("0.7", ["--op", "pmf", "--tol", "nan"], "tol must lie in (0, 1), got nan"),
+    ("inf", ["--op", "pmf"], "lambda must be finite, got inf"),
+])
+def test_dist_rejects_a_tol_or_lambda_no_series_can_use(capsys, monkeypatch, lam, options,
+                                                         message):
+    # tol inf or >= 1 stopped the normalizer after one term (pmf(0) = 1, all
+    # draws 0); tol nan and lambda inf ran the whole term cap.  Each is refused
+    # before any series work.
+    def no_series(*args, **kwargs):
+        raise AssertionError("series evaluated")
+
+    monkeypatch.setattr(qdist, "q_exp", no_series)
+    monkeypatch.setattr(qdist, "q_exp_hat", no_series)
+    code, out, err = run(capsys, "dist", "--family", "heine", "--q", "0.5", "--lambda", lam,
+                         *options)
+    assert (code, out, err) == (2, "", f"qwhitney: {message}\n")
+
+
 def test_dist_divergent_euler(capsys):
     code, _, err = run(capsys, "dist", "--family", "euler", "--q", "0.5",
                        "--lambda", "3", "--op", "pmf")

@@ -123,12 +123,21 @@ CONVOLUTION_RHS_SHA256 = {
 }
 
 
-def _rhs_digest(q: str, identity: IdentityId) -> str:
-    """sha256 of one identity's right sides at (3/2, 5/2), nmax 6; all must pass."""
-    mode = SYMBOLIC if q == "symbolic" else RationalQ(Fraction(q))
+def _rhs_digest(q: str, identity: IdentityId, side: str = "rhs") -> str:
+    """sha256 of one identity's right sides at (3/2, 5/2), nmax 6; all must pass.
+
+    q is "symbolic", a rational like "-1/2", or a float like "0.5" (float mode).
+    side "lhs" digests the left sides instead.
+    """
+    if q == "symbolic":
+        mode = SYMBOLIC
+    elif "." in q:
+        mode = FloatQ(float(q))
+    else:
+        mode = RationalQ(Fraction(q))
     reports = verify(identity, WhitneyParams(Fraction(3, 2), Fraction(5, 2), mode), 6)
     assert all(rep.passed for rep in reports)
-    text = "".join(canonical_text(rep.rhs) + "\n" for rep in reports)
+    text = "".join(canonical_text(getattr(rep, side)) + "\n" for rep in reports)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -167,6 +176,120 @@ HORNER_RHS_SHA256 = {
 @pytest.mark.parametrize("q, identity", list(HORNER_RHS_SHA256))
 def test_horner_right_sides_are_pinned(q, identity):
     assert _rhs_digest(q, identity) == HORNER_RHS_SHA256[q, identity]
+
+
+#: sha256 of the canonical-text right sides at (3/2, 5/2), nmax 6, recorded when
+#: these sums still ran term by term through Fraction and LaurentPoly `+` and
+#: `*`; the fused `sum_of_products` must give the same exact values.  At
+#: q = -1/2 negative numerators go through the fused sums.
+FUSED_RHS_SHA256 = {
+    ("1/2", IdentityId.R_DECOMP_FIRST):
+        "66a197819aee31f6114233343282079c90c5fde1adedce862fd66fc57039cb2e",
+    ("1/2", IdentityId.R_DECOMP_SECOND):
+        "a57604e7b4c756333682a87137c4be7a4da7a55695687bf2c5302e5de6f29c81",
+    ("1/2", IdentityId.R_SHIFT):
+        "4c5b45ef4cd2ae607f9e38440d8018a461394365da74268ae2688569a9bdff48",
+    ("1/2", IdentityId.ORTHOGONALITY):
+        "594aca5d5b840a0e0c7f1b27ebc2f31139e5697bb0c5e044a19784c3bd711607",
+    ("1/2", IdentityId.DEFINING_FIRST):
+        "9ad69d8a59beab55fa5b792043d1bff0292c9ea4317cab457640756dd1b20d54",
+    ("1/2", IdentityId.DEFINING_SECOND):
+        "beb72b417685935c489f8e4431c151ce6e095f108051487f17eab3bae826c383",
+    ("-1/2", IdentityId.R_DECOMP_FIRST):
+        "ce2542286040b8e43648bfa124eea7f46350af81fe2497171eaff3ec87b5dcc7",
+    ("-1/2", IdentityId.R_DECOMP_SECOND):
+        "c766cbb418ea798e0f9073ba37267e3bba32a371d9ebe7c19cb896082497e4df",
+    ("-1/2", IdentityId.R_SHIFT):
+        "6576653cf0c7495dc988c29009aadfa5b114f565bfd6f2797003eb0723267590",
+    ("-1/2", IdentityId.ORTHOGONALITY):
+        "594aca5d5b840a0e0c7f1b27ebc2f31139e5697bb0c5e044a19784c3bd711607",
+    ("-1/2", IdentityId.DEFINING_FIRST):
+        "371854e997d49c60b93841521420de240d87ffe708000cec4ebb50f665dfdffa",
+    ("-1/2", IdentityId.DEFINING_SECOND):
+        "c787e752423441ec25d85741a28546313f783fa82e18d01841a2b13c417456dd",
+    ("-1/2", IdentityId.CONVO_FIRST_A):
+        "a1d09e81ad8dc47576e64181feb16762cf53ea535491de3a447f1f18ddd153b2",
+    ("-1/2", IdentityId.CONVO_FIRST_B):
+        "2a71be6d74c80506c524eb8fd0d8787fe5bbad6dd572dab7c5f597c6c2132848",
+    ("-1/2", IdentityId.CONVO_SECOND_A):
+        "f85ed55271ff046c6171d2e25a6417a411b264fe61653a496d19963b9b85227a",
+    ("-1/2", IdentityId.CONVO_SECOND_B):
+        "9e70ae54426518caadd7d3a8258d5dad6c8dd94341a2578e5a262e0d573fb117",
+    ("symbolic", IdentityId.R_DECOMP_FIRST):
+        "2e1da6ecacad02b449421f20d055a9ba29254387431495b03be9de77e766106e",
+    ("symbolic", IdentityId.R_DECOMP_SECOND):
+        "9c7d048723cfc9b7bd32923c2c1dfef078cb7747e04faf0955203ea6b2768b9a",
+    ("symbolic", IdentityId.R_SHIFT):
+        "4c653aec220de88e92e5631e9d402c44494c3bbb0b997d66d0ab2a6138b9ad8c",
+    ("symbolic", IdentityId.ORTHOGONALITY):
+        "594aca5d5b840a0e0c7f1b27ebc2f31139e5697bb0c5e044a19784c3bd711607",
+    ("symbolic", IdentityId.DEFINING_FIRST):
+        "2c4bf8dc60f8f336f451f8d4311cb0f4adbc25a5652afc8f0e7d7ddab5bcdbcf",
+    ("symbolic", IdentityId.DEFINING_SECOND):
+        "2943e24edbcf503bebe3bb8297fe2e88dcc42f10fbd53b2bc060fec3f8517bcd",
+}
+
+
+@pytest.mark.parametrize("q, identity", list(FUSED_RHS_SHA256))
+def test_fused_right_sides_are_pinned(q, identity):
+    assert _rhs_digest(q, identity) == FUSED_RHS_SHA256[q, identity]
+
+
+#: The same in float mode, where the sums must stay bit-identical to the
+#: left-to-right loops they replace (format .17g, signed zeros included).
+#: Orthogonality's summed side is its left side.
+FUSED_FLOAT_SHA256 = {
+    ("0.5", IdentityId.R_DECOMP_FIRST):
+        "fa4b3ce49809382f6790f0076a3aa548af4bdb0bf16d895c6ffdc1316edc5523",
+    ("0.5", IdentityId.R_DECOMP_SECOND):
+        "781527f4f3658f852043d069659e68d52fb1be9a733216c00b6a56240ecfe1be",
+    ("0.5", IdentityId.R_SHIFT):
+        "0ccf6bc62190e360cf757412bfa2dbea49f35f0426352323c41196f9f704bb6e",
+    ("0.5", IdentityId.CONVO_FIRST_A):
+        "135e09c408016460be341573159d2b1fbae4945cbe30a4fde8b69df71bca5b24",
+    ("0.5", IdentityId.CONVO_FIRST_B):
+        "7ef216d9507b710deb56e773a1c7202a6190e951f3a050001ab51d0b7e96a19b",
+    ("0.5", IdentityId.CONVO_SECOND_A):
+        "464ed37cf9af4edec6214df9f882618d5db2d8aab191633121071da77046a962",
+    ("0.5", IdentityId.CONVO_SECOND_B):
+        "b1a4d3d63dbb92b6a6f31b03f5c104284a943489e1c25edc72cc37e6a309a641",
+    ("0.5", IdentityId.ORTHOGONALITY):
+        "594aca5d5b840a0e0c7f1b27ebc2f31139e5697bb0c5e044a19784c3bd711607",
+    ("0.5", IdentityId.PRIVAULT_Q):
+        "dcb97b39d0bff8048f940d39fe3b537f38090d4a893c6bea09cfc1552d11a359",
+    ("0.5", IdentityId.DEFINING_FIRST):
+        "91d2135dd49966bf2b32d59f6c2e01602ec297b85cf77014b4023cc13918265c",
+    ("0.5", IdentityId.DEFINING_SECOND):
+        "3b44ea3a32be9c202414f57a231c6d6e88b28a39cec29a4bf8987c4f16ea820c",
+    ("-0.5", IdentityId.R_DECOMP_FIRST):
+        "34cb46a84fff46d420ed3b0ea0f9d35d5c25d4e3bee21e57e048d4b012c25da0",
+    ("-0.5", IdentityId.R_DECOMP_SECOND):
+        "f9570a6149253b2f0702a94e3ca0737dfdb7f69313051d76c808beed675b6fd4",
+    ("-0.5", IdentityId.R_SHIFT):
+        "8bb4f1c725766423b42bad8ddd079346395df5d4597dcea2e373a14b4d4cf09a",
+    ("-0.5", IdentityId.CONVO_FIRST_A):
+        "2aeac5205db5086a683f3617378947294a93b37da25e4be7971a1fc8185dbbee",
+    ("-0.5", IdentityId.CONVO_FIRST_B):
+        "2a71be6d74c80506c524eb8fd0d8787fe5bbad6dd572dab7c5f597c6c2132848",
+    ("-0.5", IdentityId.CONVO_SECOND_A):
+        "c28abeac5e1e91dc20e864ae1344672c876b142ef7b15698316d55d1acd00b10",
+    ("-0.5", IdentityId.CONVO_SECOND_B):
+        "2b10f1646b1dd760595fbbfd2672d60bbb4b83616f73452d166e8a64bc136a41",
+    ("-0.5", IdentityId.ORTHOGONALITY):
+        "594aca5d5b840a0e0c7f1b27ebc2f31139e5697bb0c5e044a19784c3bd711607",
+    ("-0.5", IdentityId.PRIVAULT_Q):
+        "ca2227e1d4d7468e9a357a6468045968b10dfc793e0f86bcfcb6f8b62be5acbd",
+    ("-0.5", IdentityId.DEFINING_FIRST):
+        "221b0ef6c24239b787b3414674d53ea4703ba3a18374ab59c6903c8d45a18286",
+    ("-0.5", IdentityId.DEFINING_SECOND):
+        "976520fcf41a49a0bbd9c8c067d5161b1eef465ac7aab9a8d5cb4f0d0918bba3",
+}
+
+
+@pytest.mark.parametrize("q, identity", list(FUSED_FLOAT_SHA256))
+def test_fused_float_sums_are_pinned(q, identity):
+    side = "lhs" if identity is IdentityId.ORTHOGONALITY else "rhs"
+    assert _rhs_digest(q, identity, side) == FUSED_FLOAT_SHA256[q, identity]
 
 
 def test_boundary_trivial_at_nmax_zero():

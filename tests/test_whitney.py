@@ -357,3 +357,32 @@ def test_orthogonality_small():
                 for k in range(j, n + 1):
                     acc = acc + w.value(n, k) * W.value(k, j)
                 assert acc == (1 if n == j else 0), (m, r, n, j)
+
+
+@pytest.mark.parametrize("mode", [SYMBOLIC, RationalQ(Fraction(-1, 2)), FloatQ(0.5)],
+                         ids=["symbolic", "rational", "float"])
+def test_oracles_do_not_use_the_fused_sum(monkeypatch, mode):
+    # The triangle builders, the closed forms, the tableau sums and the
+    # Dowling functions check or feed the checkers that use sum_of_products,
+    # so they must not share it: each still runs with the primitive removed.
+    from qwhitney.tableaux import tableau_sum_first, tableau_sum_second
+
+    def forbidden(terms):
+        raise AssertionError("sum_of_products called")
+
+    monkeypatch.setattr(type(mode), "sum_of_products", staticmethod(forbidden))
+    params = WhitneyParams(Fraction(3, 2), Fraction(5, 2), mode)
+    for build in (whitney._first_rows, whitney._second_rows):
+        build.__wrapped__(params, 5, 0)
+        build.__wrapped__(params, 5, 2)
+    for n, k in ((4, 2), (5, 1)):
+        whitney_first_elementary(params, n, k)
+        whitney_second_multisets(params, n, k)
+        whitney_second_compositions(params, n, k)
+        whitney_second_alternating(params, n, k)
+        tableau_sum_first(params, n, k)
+        tableau_sum_second(params, n, k)
+        q_stirling_first_complement(n, k, mode)
+    dowling_number(params, 5)
+    dowling_polynomial(params, 5, Fraction(1, 2))
+    dowling_sequence(params, 5)
