@@ -19,6 +19,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import isfinite
 from operator import itemgetter
 
 from .errors import DomainError, QWhitneyError
@@ -30,15 +31,10 @@ from .identities import (
     verify,
 )
 from .modes import SYMBOLIC, canonical_text, parse_qmode, parse_scalar
-from .qdist import MOMENT_REL_TOL, QDistSpec, _pmf_stream, moment_pairs, sample
+from .qdist import MOMENT_REL_TOL, QDistSpec, moment_pairs, pmf_walk, sample_batches
 from .whitney import WhitneyParams, whitney_first_triangle, whitney_second_triangle
 
 FORMAT_VERSION = "1"
-
-#: Draws written per stdout write by `dist --op sample`; one batch's text is
-#: the largest string the output step holds, so peak memory stays flat.
-SAMPLE_BATCH = 4096
-
 
 #: A negative number such as -3, -3/2 or -.5.  argparse takes "-3/2" for a flag.
 _NEGATIVE = re.compile(r"-\.?\d")
@@ -112,20 +108,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def table_document(triangle) -> dict:
-    doc = {
+    return {
         "format_version": FORMAT_VERSION,
         "kind": triangle.kind,
-        "m": str(triangle.params.m),
-        "r": str(triangle.params.r),
+        **triangle.params.point(),
+        "nmax": triangle.nmax,
+        "rows": [{"n": n, "k": k, "value": canonical_text(triangle.value(n, k))}
+                 for n in range(triangle.nmax + 1) for k in range(n + 1)],
     }
-    doc.update(triangle.params.qmode.describe())
-    doc["nmax"] = triangle.nmax
-    doc["rows"] = [
-        {"n": n, "k": k, "value": canonical_text(triangle.value(n, k))}
-        for n in range(triangle.nmax + 1)
-        for k in range(n + 1)
-    ]
-    return doc
 
 
 def render_table_json(doc: dict) -> str:
@@ -229,10 +219,6 @@ def run_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def run_dist(args) -> int:
     if args.n is not None and args.n < 0:
         raise DomainError("--n must be >= 0")
@@ -240,37 +226,38 @@ def run_dist(args) -> int:
         raise DomainError(f"--op moments needs --tol <= {MOMENT_REL_TOL}, got {args.tol}")
     spec = QDistSpec(args.family, args.q, args.lam, tol=args.tol)
     if args.op == "pmf":
-        stream = _pmf_stream(spec)
-        cumulative = 0.0
-        x = 0
-        while True:
-            p = next(stream)
-            cumulative += p
-            print(f"{x}\t{_fmt(p)}")
-            x += 1
-            if args.n is not None:
-                if x > args.n:
-                    break
-            elif cumulative >= 1.0 - 1e-12:
-                break
+        for x, p in enumerate(pmf_walk(spec, args.n)):
+            print(f"{x}\t{canonical_text(p)}")
         return 0
     if args.op == "moments":
-        top = 3 if args.n is None else args.n
+        # Every row is computed before any is printed: a moment outside the
+        # float range ends the command with exit 2 and no partial table.
+        try:
+            rows = list(moment_pairs(spec, float(args.m), float(args.r),
+                                     3 if args.n is None else args.n))
+            finite = all(isfinite(closed) and isfinite(oracle) for *_, closed, oracle in rows)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise DomainError("--op moments: a moment at this --m, --r and --n lies outside "
+                              "the float range")
         violation = None
-        for kind, k, closed, oracle in moment_pairs(spec, float(args.m), float(args.r), top):
+        for kind, k, closed, oracle in rows:
             gap = abs(closed - oracle)
-            print(f"{kind}\t{k}\t{_fmt(closed)}\t{_fmt(oracle)}\t{_fmt(gap)}")
+            print("\t".join([kind, str(k), *map(canonical_text, (closed, oracle, gap))]))
             if violation is None and not gap <= MOMENT_REL_TOL * max(abs(closed), abs(oracle)):
-                violation = (f"{kind} moment {k}: closed form {_fmt(closed)} and oracle "
-                             f"{_fmt(oracle)} differ by more than {MOMENT_REL_TOL} relative")
+                violation = (f"{kind} moment {k}: closed form {canonical_text(closed)} and "
+                             f"oracle {canonical_text(oracle)} differ by more than "
+                             f"{MOMENT_REL_TOL} relative")
         if violation is not None:
             print(f"qwhitney: {violation}", file=sys.stderr)
             return 1
         return 0
-    draws = sample(spec, args.count, args.seed)
-    labels = [f"{x}\n" for x in range(max(draws, default=-1) + 1)]
-    for start in range(0, len(draws), SAMPLE_BATCH):
-        sys.stdout.write("".join(map(labels.__getitem__, draws[start:start + SAMPLE_BATCH])))
+    # Written batch by batch, so memory does not grow with --count.
+    labels = []
+    for batch in sample_batches(spec, args.count, args.seed):
+        labels += [f"{x}\n" for x in range(len(labels), max(batch) + 1)]
+        sys.stdout.write("".join(map(labels.__getitem__, batch)))
     return 0
 
 

@@ -25,6 +25,7 @@ from .errors import (
     ZeroMError,
 )
 from .modes import RationalQ, Scalar, divide_exact, values_equal
+from .qcore import powers
 from .record import Record
 from .report import IdentityReport
 from .whitney import (
@@ -311,20 +312,17 @@ def _check_convolution(identity: IdentityId):
     return check
 
 
-def _check_dowling_binomial_fwd(params, nmax, tol):
-    seq = dowling_sequence(params, nmax)
-    up = dowling_sequence(WhitneyParams(params.m, params.r + 1, params.qmode), nmax)
-    transformed = binomial_transform(seq)
-    return [_rep(IdentityId.DOWLING_BINOMIAL_FWD, params, {"n": n},
-                 up[n], transformed[n], tol) for n in range(nmax + 1)]
+def _check_dowling_binomial(identity: IdentityId):
+    # D_(r+1) is the binomial transform of D_r; the inverse recovers D_r.
+    inverse = identity is IdentityId.DOWLING_BINOMIAL_INV
 
+    def check(params, nmax, tol):
+        seq = dowling_sequence(params, nmax)
+        up = dowling_sequence(WhitneyParams(params.m, params.r + 1, params.qmode), nmax)
+        lhs, rhs = (seq, binomial_inverse(up)) if inverse else (up, binomial_transform(seq))
+        return [_rep(identity, params, {"n": n}, lhs[n], rhs[n], tol) for n in range(nmax + 1)]
 
-def _check_dowling_binomial_inv(params, nmax, tol):
-    seq = dowling_sequence(params, nmax)
-    up = dowling_sequence(WhitneyParams(params.m, params.r + 1, params.qmode), nmax)
-    inverted = binomial_inverse(up)
-    return [_rep(IdentityId.DOWLING_BINOMIAL_INV, params, {"n": n},
-                 seq[n], inverted[n], tol) for n in range(nmax + 1)]
+    return check
 
 
 def _check_orthogonality(params, nmax, tol):
@@ -349,23 +347,14 @@ def _check_orthogonality(params, nmax, tol):
 def _check_privault_q(params, nmax, tol):
     cap = min(nmax, HEAVY_CAP)
     mode = params.qmode
-    mval = mode.of(params.m)
-    rval = mode.of(params.r)
     reports = []
     stirling = whitney_second_triangle(
         WhitneyParams(Fraction(1), Fraction(0), mode), cap)
-    mpow = [mval**0]
-    rpow = [rval**0]
-    for _ in range(cap):
-        mpow.append(mpow[-1] * mval)
-        rpow.append(rpow[-1] * rval)
+    mpow, rpow = powers(mode.of(params.m), cap), powers(mode.of(params.r), cap)
     # inner[x][k] = sum_j m^(k-j) S(k,j) x^j does not depend on n.
     inner = {}
     for x in PRIVAULT_X_VALUES:
-        xv = mode.of(x)
-        xpow = [xv**0]
-        for _ in range(cap):
-            xpow.append(xpow[-1] * xv)
+        xpow = powers(mode.of(x), cap)
         inner[x] = [mode.sum_of_products([(mpow[k - j], s, xpow[j])
                                           for j, s in enumerate(row) if s])
                     for k, row in enumerate(stirling.rows)]
@@ -398,8 +387,8 @@ _CHECKERS: dict[IdentityId, Callable] = {
     IdentityId.R_DECOMP_SECOND: _check_r_decomp(IdentityId.R_DECOMP_SECOND, "second"),
     IdentityId.R_SHIFT: _check_r_shift,
     **{identity: _check_convolution(identity) for identity in _CONVOLUTIONS},
-    IdentityId.DOWLING_BINOMIAL_FWD: _check_dowling_binomial_fwd,
-    IdentityId.DOWLING_BINOMIAL_INV: _check_dowling_binomial_inv,
+    **{identity: _check_dowling_binomial(identity)
+       for identity in (IdentityId.DOWLING_BINOMIAL_FWD, IdentityId.DOWLING_BINOMIAL_INV)},
     IdentityId.ORTHOGONALITY: _check_orthogonality,
     IdentityId.PRIVAULT_Q: _check_privault_q,
     IdentityId.DEFINING_FIRST: _check_defining(defining_first),

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import laurent, qcore
-from .laurent import LaurentPoly, parse_laurent, q_monomial
+from .laurent import LaurentPoly, as_laurent, parse_laurent, q_monomial
 from .record import Record
 
 Scalar = int | Fraction | float | LaurentPoly
@@ -72,6 +72,11 @@ class _SymbolicQ:
 SYMBOLIC = _SymbolicQ()
 
 
+def _fixed_q_factorial(mode, n: int):
+    """[n]_q! = [1]_q ... [n]_q from a fixed-q mode's own q-integers; 1 for n <= 0."""
+    return qcore.q_int_products(range(1, n + 1), mode)[-1]
+
+
 class RationalQ(Record):
     """q fixed to a nonzero exact rational; every value is a Fraction.
 
@@ -103,11 +108,7 @@ class RationalQ(Record):
             v = self._ints[n] = Fraction(n) if q0 == 1 else (q0**n - 1) / (q0 - 1)
         return v
 
-    def q_factorial(self, n: int) -> Fraction:
-        out = Fraction(1)
-        for i in range(1, n + 1):
-            out *= self.q_int(i)
-        return out
+    q_factorial = _fixed_q_factorial
 
     def q_binomial(self, n: int, k: int) -> Fraction:
         return qcore.q_binomial(n, k).evaluate(self.q0)
@@ -165,13 +166,9 @@ class FloatQ(Record):
         return self.q0**e
 
     def q_int(self, n: int) -> float:
-        return qcore._float_q_int(n, self.q0)
+        return qcore.float_q_int(n, self.q0)
 
-    def q_factorial(self, n: int) -> float:
-        out = 1.0
-        for i in range(1, n + 1):
-            out *= self.q_int(i)
-        return out
+    q_factorial = _fixed_q_factorial
 
     def q_binomial(self, n: int, k: int) -> float:
         if k < 0 or k > n:
@@ -239,8 +236,6 @@ def values_equal(lhs: Scalar, rhs: Scalar, mode: QMode, tol: float = 1e-9) -> bo
 def divide_exact(num: Scalar, den: Scalar):
     """Division that is exact in exact modes and plain / on floats."""
     if isinstance(num, LaurentPoly) or isinstance(den, LaurentPoly):
-        from .laurent import as_laurent
-
         return as_laurent(num).exact_div(as_laurent(den))
     if isinstance(num, float) or isinstance(den, float):
         return num / den

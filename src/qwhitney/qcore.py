@@ -8,8 +8,10 @@ q-exponential pair e_q / ehat_q works in floating point for 0 < q < 1.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 
 from .errors import DivergentSeriesError, DomainError, NonConvergenceError
 from .laurent import ONE, ZERO, LaurentPoly
@@ -49,16 +51,39 @@ def q_binomial(n: int, k: int) -> LaurentPoly:
     return q_factorial(n).exact_div(q_factorial(k) * q_factorial(n - k))
 
 
-def q_falling_factorial(x: int, n: int) -> LaurentPoly:
-    """[x]_q [x-1]_q ... [x-n+1]_q for integer x >= 0; zero factor kills it."""
+def powers(x, n: int) -> list:
+    """[x^0, x^1, ..., x^n] by n running products, with x^0 = x**0."""
+    return list(accumulate(repeat(x, n), mul, initial=x**0))
+
+
+def q_int_products(indices: Iterable[int], mode=None) -> list:
+    """Running products [1, [i1]_q, [i1]_q [i2]_q, ...] over the indices.
+
+    In the scalars of mode (any object with q_power and q_int: SYMBOLIC,
+    RationalQ, FloatQ), or as Laurent polynomials when mode is None.
+    """
+    acc, q_int = (ONE, q_integer) if mode is None else (mode.q_power(0), mode.q_int)
+    out = [acc]
+    for i in indices:
+        acc = acc * q_int(i)
+        out.append(acc)
+    return out
+
+
+def q_falling_factorials(x: int, n: int, mode=None) -> list:
+    """[F_0, ..., F_n] with F_k = [x]_q [x-1]_q ... [x-k+1]_q, for integer x >= 0.
+
+    At most n products; [0]_q ends them, so F_k is that zero for k > x.
+    """
     if x < 0 or n < 0:
         raise ValueError("q_falling_factorial needs x >= 0 and n >= 0")
-    out = ONE
-    for i in range(n):
-        if x - i == 0:
-            return ZERO
-        out = out * q_integer(x - i)
-    return out
+    out = q_int_products(range(x, max(x - n, -1), -1), mode)
+    return out + out[-1:] * (n + 1 - len(out))
+
+
+def q_falling_factorial(x: int, n: int, mode=None):
+    """[x]_q [x-1]_q ... [x-n+1]_q for integer x >= 0; zero factor kills it."""
+    return q_falling_factorials(x, n, mode)[n]
 
 
 def elementary_symmetric(weights: Sequence, k: int):
@@ -91,7 +116,8 @@ def complete_homogeneous(weights: Sequence, k: int):
     return table[k]
 
 
-def _float_q_int(n: int, q: float) -> float:
+def float_q_int(n: int, q: float) -> float:
+    """[n]_q at a float q: (1 - q^n) / (1 - q), or n at q = 1."""
     return n * 1.0 if q == 1.0 else (1.0 - q**n) / (1.0 - q)
 
 
@@ -125,7 +151,7 @@ def q_exp(t: float, q: float, tol: float = 1e-12, *, direct: bool = False,
         return 1.0 / q_exp_hat(-t, q, tol, term_cap=term_cap)
     if abs(t) * (1.0 - q) >= 1.0:
         raise DivergentSeriesError(f"e_q series diverges: |t|(1-q) = {abs(t) * (1 - q)}")
-    return _series(lambda k, term: term * t / _float_q_int(k, q), tol, term_cap)
+    return _series(lambda k, term: term * t / float_q_int(k, q), tol, term_cap)
 
 
 def q_exp_hat(t: float, q: float, tol: float = 1e-12, *, direct: bool = False,
@@ -143,5 +169,5 @@ def q_exp_hat(t: float, q: float, tol: float = 1e-12, *, direct: bool = False,
     if t < 0 and not direct:
         return 1.0 / q_exp(-t, q, tol, term_cap=term_cap)
     # q^C(k,2) gains a factor q^(k-1) at step k.
-    return _series(lambda k, term: term * t * q ** (k - 1) / _float_q_int(k, q),
+    return _series(lambda k, term: term * t * q ** (k - 1) / float_q_int(k, q),
                    tol, term_cap)

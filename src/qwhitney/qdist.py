@@ -23,16 +23,22 @@ import sys
 from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, chain, islice, repeat
 from math import comb, inf
 
 from .errors import DomainError, NonConvergenceError
 from .modes import SYMBOLIC, FloatQ
-from .qcore import _float_q_int, q_exp, q_exp_hat
+from .qcore import float_q_int, q_exp, q_exp_hat, q_falling_factorial, q_int_products
 from .record import Record
-from .whitney import WhitneyParams, _q_falling, whitney_second_triangle
+from .whitney import WhitneyParams, whitney_second_triangle
 
 FAMILIES = ("heine", "euler")
+
+#: `pmf_walk` stops at the first outcome where the cumulative mass reaches this.
+MASS_FLOOR = 1.0 - 1e-12
+
+#: Draws per list yielded by `sample_batches`.
+SAMPLE_BATCH = 4096
 
 
 class QDistSpec(Record):
@@ -63,14 +69,12 @@ class QDistSpec(Record):
     @property
     def q_mean(self) -> float:
         """First q-factorial moment E[[X]_q]: lambda/(1 + lambda(1-q)) for
-        heine, lambda for euler.
+        heine, lambda for euler (`q_factorial_moment` of order 1).
 
         This is the distribution's location parameter in the q sense; the
         arithmetic mean E[X] is a different (larger) quantity.
         """
-        if self.family == "heine":
-            return self.lam / (1.0 + self.lam * (1.0 - self.q))
-        return self.lam
+        return q_factorial_moment(self, 1)
 
 
 def _normalizer(spec: QDistSpec) -> float:
@@ -86,20 +90,36 @@ def _pmf_stream(spec: QDistSpec) -> Iterator[float]:
     while True:
         yield value
         x += 1
-        step = spec.lam / _float_q_int(x, spec.q)
+        step = spec.lam / float_q_int(x, spec.q)
         if spec.family == "heine":
             step *= spec.q ** (x - 1)
         value *= step
+
+
+def pmf_walk(spec: QDistSpec, n: int | None = None) -> Iterator[float]:
+    """pmf(0), pmf(1), ...: through pmf(n), or, with n None, through the first
+    outcome where the cumulative mass reaches MASS_FLOOR.
+
+    Raises NonConvergenceError if spec.term_cap outcomes do not reach it.
+    """
+    stream = _pmf_stream(spec)
+    if n is not None:
+        yield from islice(stream, n + 1)
+        return
+    cumulative = 0.0
+    for p in islice(stream, spec.term_cap):
+        yield p
+        cumulative += p
+        if cumulative >= MASS_FLOOR:
+            return
+    raise NonConvergenceError("cumulative distribution did not reach its cutoff")
 
 
 def pmf(spec: QDistSpec, x: int) -> float:
     """Probability of the outcome x."""
     if x < 0 or x != int(x):
         raise DomainError("outcomes are nonnegative integers")
-    stream = _pmf_stream(spec)
-    value = next(stream)
-    for _ in range(int(x)):
-        value = next(stream)
+    *_, value = pmf_walk(spec, int(x))
     return value
 
 
@@ -153,10 +173,10 @@ def moment_pairs(spec: QDistSpec, m: float, r: float,
     mode = FloatQ(q)
     for k in range(top + 1):
         yield ("factorial", k, q_factorial_moment(spec, k),
-               direct_moment_oracle(spec, lambda x, k=k: _q_falling(mode, x, k)))
+               direct_moment_oracle(spec, lambda x, k=k: q_falling_factorial(x, k, mode)))
     for n in range(top + 1):
         yield ("whitney", n, whitney_moment(spec, m, r, n),
-               direct_moment_oracle(spec, lambda x, n=n: (m * _float_q_int(x, q) + r) ** n))
+               direct_moment_oracle(spec, lambda x, n=n: (m * float_q_int(x, q) + r) ** n))
 
 
 def direct_moment_oracle(spec: QDistSpec, g: Callable[[int], float],
@@ -173,9 +193,7 @@ def direct_moment_oracle(spec: QDistSpec, g: Callable[[int], float],
     tol = spec.tol if tol is None else tol
     total = 0.0
     quiet = 0
-    stream = _pmf_stream(spec)
-    for x in range(spec.term_cap):
-        p = next(stream)
+    for x, p in enumerate(islice(_pmf_stream(spec), spec.term_cap)):
         contribution = p * g(x)
         total += contribution
         if total == 0.0 and p >= sys.float_info.min:
@@ -218,7 +236,7 @@ def series_moment(spec: QDistSpec, m: float, r: float, n: int,
         quiet = 0
         ell = 0
         while True:
-            term = lam**ell / fact * (m * _float_q_int(ell, q) + r) ** n
+            term = lam**ell / fact * (m * float_q_int(ell, q) + r) ** n
             total += term
             if upper == "truncated":
                 if ell == n:
@@ -233,14 +251,9 @@ def series_moment(spec: QDistSpec, m: float, r: float, n: int,
                 if ell >= spec.term_cap:
                     raise NonConvergenceError("euler moment series did not settle")
             ell += 1
-            fact *= _float_q_int(ell, q)
+            fact *= float_q_int(ell, q)
 
-    def qfact(k: int) -> float:
-        out = 1.0
-        for i in range(1, k + 1):
-            out *= _float_q_int(i, q)
-        return out
-
+    facts = q_int_products(range(1, n + 1), FloatQ(q))
     total = 0.0
     for ell in range(n + 1):
         inner_cap = n if upper == "truncated" else n - ell
@@ -250,34 +263,33 @@ def series_moment(spec: QDistSpec, m: float, r: float, n: int,
             else:
                 sign = -1.0 if i % 2 else 1.0
                 factor = sign * lam**i * q ** (comb(ell, 2) + 2 * comb(i, 2) + ell * i)
-            den = qfact(ell) * qfact(i)
+            den = facts[ell] * facts[i]
             prod = 1.0
             for j in range(1, ell + i + 1):
                 prod *= 1.0 + lam * (1.0 - q) * q ** (j - 1)
-            total += factor * lam**ell / den * (m * _float_q_int(ell, q) + r) ** n / prod
+            total += factor * lam**ell / den * (m * float_q_int(ell, q) + r) ** n / prod
     return total
 
 
-def sample(spec: QDistSpec, count: int, seed: int) -> list[int]:
-    """Inverse-CDF draws, deterministic for a fixed seed.
+def sample_batches(spec: QDistSpec, count: int, seed: int) -> Iterator[list[int]]:
+    """The draws of `sample`, SAMPLE_BATCH at a time (the last list shorter).
 
-    The cumulative table is cut off once it reaches 1 - 1e-12; draws past
+    Inverse-CDF draws from one random.Random(seed), so the concatenated
+    batches do not depend on the batch size.  The cumulative table is the
+    running sum of `pmf_walk(spec)`, cut off at the mass floor; draws past
     the cutoff clamp to the last tabulated outcome.  The clamp is built into
     the table: its last entry is replaced by +inf, so bisect_right never
     returns past the last outcome.
     """
     if count < 0:
         raise DomainError("count must be >= 0")
-    cdf = []
-    cumulative = 0.0
-    stream = _pmf_stream(spec)
-    for _ in range(spec.term_cap):
-        cumulative += next(stream)
-        cdf.append(cumulative)
-        if cumulative >= 1.0 - 1e-12:
-            break
-    else:
-        raise NonConvergenceError("cumulative distribution did not reach its cutoff")
+    cdf = list(accumulate(pmf_walk(spec)))
     cdf[-1] = inf
     draw = random.Random(seed).random
-    return [bisect_right(cdf, draw()) for _ in repeat(None, count)]
+    for start in range(0, count, SAMPLE_BATCH):
+        yield [bisect_right(cdf, draw()) for _ in repeat(None, min(SAMPLE_BATCH, count - start))]
+
+
+def sample(spec: QDistSpec, count: int, seed: int) -> list[int]:
+    """Inverse-CDF draws, deterministic for a fixed seed: `sample_batches` in one list."""
+    return list(chain.from_iterable(sample_batches(spec, count, seed)))

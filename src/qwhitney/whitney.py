@@ -22,14 +22,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, combinations
 from math import comb, lcm
-from operator import mul
 
 from .errors import ZeroMError
 from .laurent import LaurentPoly
 from .modes import SYMBOLIC, FloatQ, QMode, Scalar, divide_exact, values_equal
-from .qcore import complete_homogeneous, elementary_symmetric
+from .qcore import (
+    complete_homogeneous,
+    elementary_symmetric,
+    powers,
+    q_falling_factorial,
+    q_falling_factorials,
+    q_int_products,
+)
 from .record import Record
 from .report import IdentityReport
 
@@ -345,10 +351,7 @@ def q_stirling_first_complement(n: int, k: int, qmode: QMode = SYMBOLIC) -> Scal
     fact = mode.q_factorial(n - 1)
     acc = 0
     for complement in combinations(range(1, n), k - 1):
-        den = mode.q_power(0)
-        for ell in complement:
-            den = den * mode.q_int(ell)
-        acc = acc + divide_exact(fact, den)
+        acc = acc + divide_exact(fact, q_int_products(complement, mode)[-1])
     return mode.q_power(-comb(n, 2)) * acc
 
 
@@ -391,16 +394,6 @@ def dowling_sequence(params: WhitneyParams, nmax: int) -> tuple:
 # -- defining relations -------------------------------------------------------
 
 
-def _q_falling(mode: QMode, x: int, n: int) -> Scalar:
-    """[x]_q [x-1]_q ... [x-n+1]_q in mode scalars; zero factor kills it."""
-    acc = mode.q_power(0)
-    for i in range(n):
-        if x - i == 0:
-            return acc * 0
-        acc = acc * mode.q_int(x - i)
-    return acc
-
-
 def defining_first(params: WhitneyParams, ell: int, n: int,
                    tol: float = 1e-9) -> IdentityReport:
     """First kind: m^n [ell]_q ... [ell-n+1]_q = sum_k w(n,k) (m[ell]_q + r)^k."""
@@ -408,9 +401,8 @@ def defining_first(params: WhitneyParams, ell: int, n: int,
         raise ValueError("ell and n must be >= 0")
     mode = params.qmode
     w = whitney_first_triangle(params, n)
-    lhs = mode.of(params.m)**n * _q_falling(mode, ell, n)
-    powers = accumulate(repeat(params.weight(ell), n), mul, initial=mode.q_power(0))
-    rhs = mode.sum_of_products(list(zip(w.row(n), powers)))
+    lhs = mode.of(params.m)**n * q_falling_factorial(ell, n, mode)
+    rhs = mode.sum_of_products(list(zip(w.row(n), powers(params.weight(ell), n))))
     return IdentityReport("defining_first", params.point(ell=ell, n=n), lhs, rhs,
                           values_equal(lhs, rhs, mode, tol))
 
@@ -421,14 +413,10 @@ def defining_second(params: WhitneyParams, ell: int, n: int,
     if ell < 0 or n < 0:
         raise ValueError("ell and n must be >= 0")
     mode = params.qmode
-    mval = mode.of(params.m)
     W = whitney_second_triangle(params, n)
     lhs = params.weight(ell)**n
-    m_k = accumulate(repeat(mval, n), mul, initial=mval**0)
-    falling = [mode.q_power(0)]
-    for k in range(1, n + 1):  # [ell - k + 1]_q is 0 at k = ell + 1, and 0 stays 0
-        falling.append(falling[-1] * mode.q_int(ell - k + 1) if k <= ell + 1 else falling[-1])
-    rhs = mode.sum_of_products(list(zip(m_k, W.row(n), falling)))
+    falling = q_falling_factorials(ell, n, mode)
+    rhs = mode.sum_of_products(list(zip(powers(mode.of(params.m), n), W.row(n), falling)))
     return IdentityReport("defining_second", params.point(ell=ell, n=n), lhs, rhs,
                           values_equal(lhs, rhs, mode, tol))
 

@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +15,10 @@ from qwhitney import cli, qdist
 from qwhitney.cli import main, parse_table_document, render_table_csv, table_document
 from qwhitney.errors import InexactDivisionError
 from qwhitney.modes import RationalQ
+from qwhitney.qdist import SAMPLE_BATCH
 from qwhitney.whitney import WhitneyParams, whitney_second_triangle
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -332,6 +338,16 @@ def test_dist_negative_n_exits_two(capsys, op):
     assert err.startswith("qwhitney: ")
 
 
+@pytest.mark.parametrize("extra", [["--m", "1e400"], ["--r", "1e400", "--n", "2"],
+                                   ["--m", "1e200", "--n", "3"], ["--m=-1e200", "--n", "2"]])
+def test_dist_moments_outside_the_float_range_exit_two(capsys, extra):
+    code, out, err = run(capsys, "dist", "--family", "heine", "--q", "0.5", "--lambda", "0.7",
+                         "--op", "moments", *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("qwhitney: ") and err.count("\n") == 1
+    assert "float range" in err
+
+
 def test_dist_pmf_sums_to_one(capsys):
     code, out, _ = run(capsys, "dist", "--family", "heine", "--q", "0.5",
                        "--lambda", "0.7", "--op", "pmf")
@@ -350,7 +366,7 @@ def test_dist_sample_deterministic(capsys):
     assert len(out1.splitlines()) == 5
 
 
-@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 10_000])
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 10_000, 2 * SAMPLE_BATCH + 5])
 def test_dist_sample_output_is_one_line_per_draw(capsys, count):
     code, out, err = run(capsys, "dist", "--family", "euler", "--q", "0.4",
                          "--lambda", "1.0", "--op", "sample", "--count", str(count),
@@ -371,6 +387,24 @@ def test_dist_sample_writes_bounded_batches(monkeypatch):
     assert main(["dist", "--family", "heine", "--q", "0.5", "--lambda", "0.7",
                  "--op", "sample", "--count", "10000"]) == 0
     assert [text.count("\n") for text in writes] == [4096, 4096, 1808]
+
+
+def _sample_peak_kib(count: int) -> int:
+    """High-water RSS of a fresh interpreter that runs `dist --op sample --count count`."""
+    code = ("import os, sys; sys.path.insert(0, sys.argv[1]); from qwhitney import cli; "
+            "sys.stdout = open(os.devnull, 'w'); "
+            "cli.main(['dist', '--family', 'heine', '--q', '0.5', '--lambda', '0.7', "
+            "'--op', 'sample', '--count', sys.argv[2]]); "
+            "sys.stderr.write(open('/proc/self/status').read())")
+    status = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC), str(count)],
+                            capture_output=True, text=True, check=True).stderr
+    return int(next(line for line in status.splitlines() if line.startswith("VmHWM:")).split()[1])
+
+
+@pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(), reason="needs procfs")
+def test_dist_sample_memory_does_not_grow_with_count():
+    # Holding every draw costs about 7.6 MB per million; batches cost nothing per draw.
+    assert _sample_peak_kib(1_200_000) - _sample_peak_kib(200_000) < 2048
 
 
 def test_dist_sample_negative_count_exits_two(capsys):
@@ -446,8 +480,8 @@ def test_usage_error_exit_code(capsys):
 _FUZZ_OPTIONS = {
     "table": {"kind": (["first", "second"], ["third"]),
               "nmax": (["0", "1", "3", "5"], ["-1", "2.5", "x"]),
-              "m": (["1", "-3/2", "5/2", "0"], ["1/0", "0.5", "x", ""]),
-              "r": (["0", "1", "-1/2"], ["1/-2", "--"]),
+              "m": (["1", "-3/2", "5/2", "0", "1e400"], ["1/0", "0.5", "x", ""]),
+              "r": (["0", "1", "-1/2", "-1e400"], ["1/-2", "--"]),
               "q": (["symbolic", "1/2", "-1/2", "1", "-1", "2"], ["0", "x"]),
               "format": (["json", "csv"], ["xml"])},
     "verify": {"suite": (["all", "boundary", "privault_q,convo_first_b", "genfunc_second"],
@@ -460,12 +494,12 @@ _FUZZ_OPTIONS = {
              "lambda": (["0.3", "1", "5"], ["0", "-1", "nan", "x"]),
              "op": (["pmf", "moments", "sample"], ["cdf"]),
              "n": (["0", "1", "4"], ["-1", "x"]),
-             "m": (["1", "3/2", "-1/2"], ["1/0", "x"]),
-             "r": (["0", "5/2"], ["x"]),
+             "m": (["1", "3/2", "-1/2", "1e200", "1e400", "-1e400"], ["1/0", "x"]),
+             "r": (["0", "5/2", "1e200", "1e400"], ["x"]),
              "count": (["0", "1", "50"], ["-1", "x"]),
              "seed": (["0", "7"], ["x"]),
              "tol": (["1e-12", "1e-3"], ["-1", "x"])},
-    "hankel": {"m": (["1", "3/2", "-2"], ["1/0", "x"]),
+    "hankel": {"m": (["1", "3/2", "-2", "1e400"], ["1/0", "x"]),
                "r-values": (["0,1", "-1/2,1/2", "0,1/2", "1"], ["", "x,1"]),
                "q": (["1/2", "-1/2", "1", "2"], ["0", "x"]),
                "order": (["1", "2", "4"], ["0", "-1", "x"])},

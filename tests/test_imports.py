@@ -1,0 +1,58 @@
+"""Module boundaries inside the package.
+
+Each module uses only the public names of the other package modules, and
+the pmf walk's mass floor is written in one place.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "qwhitney"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = {path.stem for path in SOURCES}
+
+
+def _private_uses(path: pathlib.Path) -> list[str]:
+    """Private names that path takes from another package module.
+
+    Both `from .mod import _name` and `mod._name`, where `mod` was bound by
+    `from . import mod`, count.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = set()
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("qwhitney"):
+            continue
+        for alias in node.names:
+            if node.module in (None, "qwhitney") and alias.name in MODULES:
+                modules.add(alias.asname or alias.name)
+            elif alias.name.startswith("_"):
+                found.append(f"{node.lineno}: {node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            found.append(f"{node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_uses_a_private_name_of_another(path):
+    assert _private_uses(path) == []
+
+
+def test_the_scan_sees_both_forms(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import qcore\nfrom .qdist import _pmf_stream, pmf\n"
+                     "from math import _private\nx = qcore._series\ny = qcore.q_exp\n",
+                     encoding="utf-8")
+    assert _private_uses(probe) == ["2: qdist._pmf_stream", "4: qcore._series"]
+
+
+def test_the_mass_floor_is_written_in_one_module():
+    holders = [path.name for path in SOURCES if "1.0 - 1e-12" in path.read_text(encoding="utf-8")]
+    assert holders == ["qdist.py"]

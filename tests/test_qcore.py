@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qwhitney.errors import DivergentSeriesError, DomainError, NonConvergenceError
 from qwhitney.laurent import ONE, ZERO, LaurentPoly, q_monomial
+from qwhitney.modes import SYMBOLIC, FloatQ, RationalQ
 from qwhitney.qcore import (
     complete_homogeneous,
     elementary_symmetric,
@@ -15,6 +16,7 @@ from qwhitney.qcore import (
     q_exp_hat,
     q_factorial,
     q_falling_factorial,
+    q_falling_factorials,
     q_integer,
 )
 
@@ -82,6 +84,60 @@ def test_q_falling_factorial():
     assert q_falling_factorial(5, 0) == ONE
     assert q_falling_factorial(2, 3) == ZERO
     assert q_falling_factorial(3, 2) == q_integer(3) * q_integer(2)
+
+
+def _loop_falling(mode, x, k):
+    """Reference: the product factor by factor in mode scalars, stopping at [0]_q."""
+    acc = mode.q_power(0)
+    for i in range(k):
+        if x - i == 0:
+            return acc * 0
+        acc = acc * mode.q_int(x - i)
+    return acc
+
+
+@pytest.mark.parametrize("q0", [Fraction(1, 2), Fraction(-1, 2), Fraction(2)], ids=str)
+def test_q_falling_factorial_agrees_across_modes(q0):
+    rational, floating = RationalQ(q0), FloatQ(float(q0))
+    for x in range(8):
+        prefixes = {mode: q_falling_factorials(x, 8, mode)
+                    for mode in (None, SYMBOLIC, rational, floating)}
+        for k in range(9):
+            symbolic = q_falling_factorial(x, k)
+            exact = symbolic.evaluate(q0)
+            assert q_falling_factorial(x, k, SYMBOLIC) == symbolic
+            assert q_falling_factorial(x, k, rational) == exact
+            assert q_falling_factorial(x, k, floating) == pytest.approx(float(exact), rel=1e-12)
+            assert q_falling_factorial(x, k, floating) == _loop_falling(floating, x, k)
+            assert (prefixes[None][k], prefixes[SYMBOLIC][k]) == (symbolic, symbolic)
+            assert (prefixes[rational][k], prefixes[floating][k]) == (
+                exact, q_falling_factorial(x, k, floating))
+            if k > x:
+                assert symbolic == ZERO and exact == 0 == q_falling_factorial(x, k, floating)
+
+
+@pytest.mark.parametrize("q0", [Fraction(1, 2), Fraction(-1, 2), Fraction(2)], ids=str)
+def test_q_factorial_agrees_across_modes(q0):
+    rational, floating = RationalQ(q0), FloatQ(float(q0))
+    loop = 1.0
+    for n in range(9):
+        if n:
+            loop *= floating.q_int(n)  # the plain float loop, for bit equality
+        exact = q_factorial(n).evaluate(q0)
+        assert SYMBOLIC.q_factorial(n) == q_factorial(n) == q_falling_factorial(n, n)
+        assert rational.q_factorial(n) == exact
+        assert floating.q_factorial(n) == pytest.approx(float(exact), rel=1e-12)
+        assert floating.q_factorial(n) == loop
+
+
+@pytest.mark.parametrize("mode", [None, SYMBOLIC, RationalQ(Fraction(1, 2)), FloatQ(0.5)],
+                         ids=repr)
+def test_q_falling_factorial_rejects_negative_arguments(mode):
+    for x, n in ((-1, 0), (0, -1), (-2, 3)):
+        with pytest.raises(ValueError, match="x >= 0 and n >= 0"):
+            q_falling_factorial(x, n, mode)
+        with pytest.raises(ValueError, match="x >= 0 and n >= 0"):
+            q_falling_factorials(x, n, mode)
 
 
 def test_symmetric_evaluator_examples():

@@ -1,6 +1,7 @@
 import math
 import random
 from bisect import bisect_right
+from itertools import accumulate, repeat
 
 import pytest
 
@@ -8,11 +9,15 @@ from qwhitney import qdist
 from qwhitney.errors import DomainError, NonConvergenceError
 from qwhitney.modes import FloatQ
 from qwhitney.qdist import (
+    MASS_FLOOR,
+    SAMPLE_BATCH,
     QDistSpec,
     direct_moment_oracle,
     pmf,
+    pmf_walk,
     q_factorial_moment,
     sample,
+    sample_batches,
     series_moment,
     whitney_moment,
 )
@@ -327,3 +332,42 @@ def test_sampler_clamps_draws_at_and_past_the_cutoff(monkeypatch):
 
     monkeypatch.setattr(qdist.random, "Random", Stub)
     assert sample(spec, len(draws), 0) == [0, 1, 2, top, top]
+
+
+# -- the pmf walk shared by the sampler and `dist --op pmf` ---------------------
+
+
+@pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=lambda s: f"{s.family}-{s.q}-{s.lam}")
+def test_pmf_walk_stops_at_the_mass_floor_or_at_n(spec):
+    walk = list(pmf_walk(spec))
+    assert walk == [pmf(spec, x) for x in range(len(walk))]
+    cumulative = list(accumulate(walk))
+    assert cumulative == _reference_cdf(spec)
+    assert cumulative[-1] >= MASS_FLOOR > cumulative[-2]
+    longer = list(pmf_walk(spec, len(walk) + 4))
+    assert longer[:len(walk)] == walk and len(longer) == len(walk) + 5
+    assert list(pmf_walk(spec, 0)) == walk[:1]
+
+
+def test_pmf_walk_stops_at_the_term_cap(monkeypatch):
+    # A stream whose mass never reaches the floor: the walk to the floor
+    # gives up after term_cap outcomes, a walk to an explicit n does not.
+    monkeypatch.setattr(qdist, "_pmf_stream", lambda spec: repeat(1e-3))
+    spec = QDistSpec("heine", 0.5, 0.7, term_cap=50)
+    seen = []
+    with pytest.raises(NonConvergenceError, match="cutoff"):
+        seen.extend(pmf_walk(spec))
+    assert len(seen) == 50
+    assert len(list(pmf_walk(spec, 99))) == 100
+    with pytest.raises(NonConvergenceError, match="cutoff"):
+        sample(spec, 1, 0)
+
+
+@pytest.mark.parametrize("count", [0, 1, SAMPLE_BATCH, 2 * SAMPLE_BATCH + 5])
+def test_sample_batches_are_the_sample_in_order(count):
+    spec = SAMPLER_SPECS[0]
+    batches = list(sample_batches(spec, count, 11))
+    assert [len(b) for b in batches] == [SAMPLE_BATCH] * (count // SAMPLE_BATCH) + (
+        [count % SAMPLE_BATCH] if count % SAMPLE_BATCH else [])
+    assert [x for b in batches for x in b] == sample(spec, count, 11) == _reference_sample(
+        spec, count, 11)
