@@ -23,7 +23,7 @@ from .identities import (
     verify,
     verify_all,
 )
-from .laurent import LaurentPoly, as_laurent, exact_div, laurent_eval, parse_laurent, q_monomial
+from .laurent import LaurentPoly, as_laurent, parse_laurent, q_monomial
 from .modes import SYMBOLIC, FloatQ, RationalQ, canonical_text, parse_qmode
 from .qcore import (
     complete_homogeneous,

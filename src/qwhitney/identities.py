@@ -80,12 +80,12 @@ DEFAULT_NMAX_CEILING = 12
 
 
 def _rep(identity: IdentityId, params: WhitneyParams, indices: dict,
-         lhs: Scalar, rhs: Scalar, tol: float) -> IdentityReport:
+         lhs: Scalar, rhs: Scalar) -> IdentityReport:
     return IdentityReport(identity.value, params.point(**indices), lhs, rhs,
-                          values_equal(lhs, rhs, params.qmode, tol))
+                          values_equal(lhs, rhs, params.qmode))
 
 
-def _check_vertical_first(params, nmax, tol):
+def _check_vertical_first(params, nmax):
     # rhs(n,k) = q^-C(n+1,2) A_n(k), A_n(k) = sum_{j=k..n} (-1)^(n-j) q^C(j,2)
     # T(j,k) prod_{i=j+1..n} weight(i), by Horner's rule in the weights:
     # A_n(k) = q^C(n,2) T(n,k) - weight(n) A_(n-1)(k).
@@ -99,11 +99,11 @@ def _check_vertical_first(params, nmax, tol):
         for k in range(n + 1):
             acc[k] = qn * rows[n][k] - wn * acc[k]
             reports.append(_rep(IdentityId.VERTICAL_FIRST, params, {"n": n, "k": k},
-                                rows[n + 1][k + 1], scale * acc[k], tol))
+                                rows[n + 1][k + 1], scale * acc[k]))
     return reports
 
 
-def _check_vertical_second(params, nmax, tol):
+def _check_vertical_second(params, nmax):
     # rhs(n,k) = q^k A_n(k), A_n(k) = sum_{j=k..n} weight(k+1)^(n-j) T(j,k), by
     # Horner's rule in weight(k+1): A_n(k) = weight(k+1) A_(n-1)(k) + T(n,k).
     rows = whitney_second_triangle(params, nmax).rows
@@ -115,7 +115,7 @@ def _check_vertical_second(params, nmax, tol):
         for k in range(n + 1):
             acc[k] = acc[k] * params.weight(k + 1) + rows[n][k]
             reports.append(_rep(IdentityId.VERTICAL_SECOND, params, {"n": n, "k": k},
-                                rows[n + 1][k + 1], mode.q_power(k) * acc[k], tol))
+                                rows[n + 1][k + 1], mode.q_power(k) * acc[k]))
     return reports
 
 
@@ -127,7 +127,7 @@ def _horner_down(n: int, step) -> list:
     return out
 
 
-def _check_horizontal_first(params, nmax, tol):
+def _check_horizontal_first(params, nmax):
     # rhs(n,k) = q^n B(k), B(k) = sum_{j=0..n-k} wn^j T(n+1,k+j+1) with
     # wn = weight(n), by Horner's rule in wn: B(k) = T(n+1,k+1) + wn B(k+1).
     # Relates row n to row n+1, so the triangle extends one row past nmax.
@@ -138,11 +138,11 @@ def _check_horizontal_first(params, nmax, tol):
         above, wn, qn = rows[n + 1], params.weight(n), mode.q_power(n)
         sums = _horner_down(n, lambda k, b: above[k + 1] + wn * b)
         reports.extend(_rep(IdentityId.HORIZONTAL_FIRST, params, {"n": n, "k": k},
-                            rows[n][k], qn * sums[k], tol) for k in range(n + 1))
+                            rows[n][k], qn * sums[k]) for k in range(n + 1))
     return reports
 
 
-def _check_horizontal_second(params, nmax, tol):
+def _check_horizontal_second(params, nmax):
     # rhs(n,k) = q^C(k,2) B(k), B(k) = sum_{c=k+1..n+1} (-1)^(c-k-1) q^-C(c,2)
     # T(n+1,c) prod_{i=k+1..c-1} weight(i), by Horner's rule in the weights:
     # B(k) = q^-C(k+1,2) T(n+1,k+1) - weight(k+1) B(k+1).
@@ -154,12 +154,12 @@ def _check_horizontal_second(params, nmax, tol):
         sums = _horner_down(n, lambda k, b: (mode.q_power(-comb(k + 1, 2)) * above[k + 1]
                                              - params.weight(k + 1) * b))
         reports.extend(_rep(IdentityId.HORIZONTAL_SECOND, params, {"n": n, "k": k},
-                            rows[n][k], mode.q_power(comb(k, 2)) * sums[k], tol)
+                            rows[n][k], mode.q_power(comb(k, 2)) * sums[k])
                        for k in range(n + 1))
     return reports
 
 
-def _check_genfunc_second(params, nmax, tol):
+def _check_genfunc_second(params, nmax):
     if not params.qmode.is_exact:
         raise IncompatibleModeError("genfunc_second needs an exact mode")
     tri = whitney_second_triangle(params, nmax)
@@ -183,11 +183,11 @@ def _check_genfunc_second(params, nmax, tol):
                 c = c - den[j] * coeffs[n - j]
             coeffs.append(c)
             reports.append(_rep(IdentityId.GENFUNC_SECOND, params, {"k": k, "n": n},
-                                c, tri.value(n, k), tol))
+                                c, tri.value(n, k)))
     return reports
 
 
-def _check_boundary(params, nmax, tol):
+def _check_boundary(params, nmax):
     w = whitney_first_triangle(params, nmax)
     W = whitney_second_triangle(params, nmax)
     mode = params.qmode
@@ -198,13 +198,13 @@ def _check_boundary(params, nmax, tol):
         lhs = w.value(n, 0)
         rhs = qneg * prod if n % 2 == 0 else -(qneg * prod)
         reports.append(_rep(IdentityId.BOUNDARY, params, {"n": n, "entry": "first_k0"},
-                            lhs, rhs, tol))
+                            lhs, rhs))
         reports.append(_rep(IdentityId.BOUNDARY, params, {"n": n, "entry": "first_kn"},
-                            w.value(n, n), qneg, tol))
+                            w.value(n, n), qneg))
         reports.append(_rep(IdentityId.BOUNDARY, params, {"n": n, "entry": "second_k0"},
-                            W.value(n, 0), mode.of(params.r) ** n * mode.q_power(0), tol))
+                            W.value(n, 0), mode.of(params.r) ** n * mode.q_power(0)))
         reports.append(_rep(IdentityId.BOUNDARY, params, {"n": n, "entry": "second_kn"},
-                            W.value(n, n), mode.q_power(comb(n, 2)), tol))
+                            W.value(n, n), mode.q_power(comb(n, 2))))
         prod = prod * params.weight(n)
     return reports
 
@@ -237,20 +237,20 @@ def _r_decomposition(params, kind: str, r1: Fraction, nmax: int):
 
 
 def _check_r_decomp(identity: IdentityId, kind: str):
-    def check(params, nmax, tol):
+    def check(params, nmax):
         return [_rep(identity, params, {"r1": str(r1), "r2": str(r2), "n": n, "k": k},
-                     lhs, rhs, tol)
+                     lhs, rhs)
                 for r1, r2 in _r_splits(params)
                 for n, k, lhs, rhs in _r_decomposition(params, kind, r1, nmax)]
 
     return check
 
 
-def _check_r_shift(params, nmax, tol):
+def _check_r_shift(params, nmax):
     # The r1 = r - 1 split of both kinds, interleaved cell by cell.
     kinds = ("first", "second")
     streams = [_r_decomposition(params, kind, params.r - 1, nmax) for kind in kinds]
-    return [_rep(IdentityId.R_SHIFT, params, {"kind": kind, "n": n, "k": k}, lhs, rhs, tol)
+    return [_rep(IdentityId.R_SHIFT, params, {"kind": kind, "n": n, "k": k}, lhs, rhs)
             for cells in zip(*streams)
             for kind, (n, k, lhs, rhs) in zip(kinds, cells)]
 
@@ -276,7 +276,7 @@ def _check_convolution(identity: IdentityId):
     kind, layout, shift, outer, inner = _CONVOLUTIONS[identity]
     row = layout == "row"
 
-    def check(params, nmax, tol):
+    def check(params, nmax):
         build = whitney_first_triangle if kind == "first" else whitney_second_triangle
         cap = min(nmax, HEAVY_CAP)
         # A column layout's left side lives on row n+1: one extra base row.
@@ -306,7 +306,7 @@ def _check_convolution(identity: IdentityId):
                         rhs = mode.q_power(e) * rhs
                     lhs = tri.value(p + j, n) if row else tri.value(n + 1, p + j + 1)
                     reports.append(_rep(identity, params, {"p": p, "j": j, "n": n},
-                                        lhs, rhs, tol))
+                                        lhs, rhs))
         return reports
 
     return check
@@ -316,16 +316,16 @@ def _check_dowling_binomial(identity: IdentityId):
     # D_(r+1) is the binomial transform of D_r; the inverse recovers D_r.
     inverse = identity is IdentityId.DOWLING_BINOMIAL_INV
 
-    def check(params, nmax, tol):
+    def check(params, nmax):
         seq = dowling_sequence(params, nmax)
         up = dowling_sequence(WhitneyParams(params.m, params.r + 1, params.qmode), nmax)
         lhs, rhs = (seq, binomial_inverse(up)) if inverse else (up, binomial_transform(seq))
-        return [_rep(identity, params, {"n": n}, lhs[n], rhs[n], tol) for n in range(nmax + 1)]
+        return [_rep(identity, params, {"n": n}, lhs[n], rhs[n]) for n in range(nmax + 1)]
 
     return check
 
 
-def _check_orthogonality(params, nmax, tol):
+def _check_orthogonality(params, nmax):
     if params.m == 0:
         raise ZeroMError("orthogonality requires m != 0")
     cap = min(nmax, HEAVY_CAP)
@@ -340,11 +340,11 @@ def _check_orthogonality(params, nmax, tol):
             for direction, a, b in (("wW", w, W), ("Ww", W, w)):
                 lhs = mode.sum_of_products([(a[n][k], b[k][j]) for k in range(j, n + 1)])
                 reports.append(_rep(IdentityId.ORTHOGONALITY, params,
-                                    {"n": n, "j": j, "direction": direction}, lhs, target, tol))
+                                    {"n": n, "j": j, "direction": direction}, lhs, target))
     return reports
 
 
-def _check_privault_q(params, nmax, tol):
+def _check_privault_q(params, nmax):
     cap = min(nmax, HEAVY_CAP)
     mode = params.qmode
     reports = []
@@ -364,13 +364,13 @@ def _check_privault_q(params, nmax, tol):
                                         for k, acc in enumerate(inner[x][:n + 1])])
             lhs = dowling_polynomial(params, n, x)
             reports.append(_rep(IdentityId.PRIVAULT_Q, params, {"n": n, "x": str(x)},
-                                lhs, rhs, tol))
+                                lhs, rhs))
     return reports
 
 
 def _check_defining(relation: Callable):
-    def check(params, nmax, tol):
-        return [relation(params, ell, n, tol)
+    def check(params, nmax):
+        return [relation(params, ell, n)
                 for ell in range(DEFINING_ELL_CAP + 1) for n in range(nmax + 1)]
 
     return check
@@ -396,8 +396,8 @@ _CHECKERS: dict[IdentityId, Callable] = {
 }
 
 
-def verify(identity, params: WhitneyParams, nmax: int = DEFAULT_NMAX_CEILING, *,
-           ceiling: int = DEFAULT_NMAX_CEILING, tol: float = 1e-9) -> list[IdentityReport]:
+def verify(identity, params: WhitneyParams,
+           nmax: int = DEFAULT_NMAX_CEILING) -> list[IdentityReport]:
     """Check one identity at one parameter point over its index lattice."""
     try:
         identity = IdentityId(identity)
@@ -405,17 +405,17 @@ def verify(identity, params: WhitneyParams, nmax: int = DEFAULT_NMAX_CEILING, *,
         raise UnknownIdentityError(f"unknown identity {identity!r}") from None
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    if nmax > ceiling:
-        raise ValueError(f"nmax {nmax} exceeds the ceiling {ceiling}")
-    return _CHECKERS[identity](params, nmax, tol)
+    if nmax > DEFAULT_NMAX_CEILING:
+        raise ValueError(f"nmax {nmax} exceeds the ceiling {DEFAULT_NMAX_CEILING}")
+    return _CHECKERS[identity](params, nmax)
 
 
-def verify_all(params: WhitneyParams, nmax: int = DEFAULT_NMAX_CEILING, *,
-               ceiling: int = DEFAULT_NMAX_CEILING, tol: float = 1e-9) -> list[IdentityReport]:
+def verify_all(params: WhitneyParams,
+               nmax: int = DEFAULT_NMAX_CEILING) -> list[IdentityReport]:
     """Run the whole catalogue at one parameter point."""
     reports = []
     for identity in IdentityId:
-        reports.extend(verify(identity, params, nmax, ceiling=ceiling, tol=tol))
+        reports.extend(verify(identity, params, nmax))
     return reports
 
 
@@ -521,9 +521,12 @@ class HankelProbeResult(Record):
 def hankel_probe(m, r_values: Sequence, q0, order: int) -> HankelProbeResult:
     """Compare Hankel transforms of (D(n))_n across the given r values.
 
-    The sequences are binomial transforms of one another when the r values
-    are consecutive integers apart, so their Hankel transforms coincide; the
-    probe recomputes them independently and reports whether they agree.
+    D at r + c is the binomial transform with parameter c of D at r (the
+    row sums of r_decomp_second), and Hankel determinants are invariant
+    under it (Layman, "The Hankel transform and some of its properties",
+    J. Integer Seq. 4, 2001).  So the transforms coincide for any rational
+    r values; the probe recomputes them independently and reports whether
+    they agree.
     """
     mode = RationalQ(Fraction(q0))
     rows = {}

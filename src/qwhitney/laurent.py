@@ -440,16 +440,6 @@ def as_laurent(x) -> LaurentPoly:
     return p
 
 
-def exact_div(a, b) -> LaurentPoly:
-    """Module-level exact division; see LaurentPoly.exact_div."""
-    return as_laurent(a).exact_div(as_laurent(b))
-
-
-def laurent_eval(p: LaurentPoly, q0):
-    """Module-level evaluation; see LaurentPoly.evaluate."""
-    return p.evaluate(q0)
-
-
 def parse_laurent(text: str) -> LaurentPoly:
     """Parse the canonical text form back into a polynomial.
 

@@ -72,13 +72,8 @@ class _SymbolicQ:
 SYMBOLIC = _SymbolicQ()
 
 
-def _fixed_q_factorial(mode, n: int):
-    """[n]_q! = [1]_q ... [n]_q from a fixed-q mode's own q-integers; 1 for n <= 0."""
-    return qcore.q_int_products(range(1, n + 1), mode)[-1]
-
-
-class RationalQ(Record):
-    """q fixed to a nonzero exact rational; every value is a Fraction.
+class _FixedQ(Record):
+    """q fixed to a nonzero number q0; every value is a number of q0's type.
 
     q-powers and q-integers are memoised per instance, keyed by the int.
     """
@@ -87,31 +82,41 @@ class RationalQ(Record):
     _fields = ("q0",)
 
     def __init__(self, q0):
-        q0 = _exact_fraction(q0, "rational q0")
-        if q0 == 0:
-            raise ValueError("rational mode needs q0 != 0")
         self._set(q0=q0, _powers={}, _ints={})
 
-    tag = "rational"
-    is_exact = True
-
-    def q_power(self, e: int) -> Fraction:
+    def q_power(self, e: int):
         p = self._powers.get(e)
         if p is None:
             p = self._powers[e] = self.q0**e
         return p
 
-    def q_int(self, n: int) -> Fraction:
+    def q_int(self, n: int):
         v = self._ints.get(n)
         if v is None:
-            q0 = self.q0
-            v = self._ints[n] = Fraction(n) if q0 == 1 else (q0**n - 1) / (q0 - 1)
+            v = self._ints[n] = qcore.q_int_at(n, self.q0)
         return v
 
-    q_factorial = _fixed_q_factorial
+    def q_factorial(self, n: int):
+        """[n]_q! = [1]_q ... [n]_q from this mode's own q-integers; 1 for n <= 0."""
+        return qcore.q_int_products(range(1, n + 1), self)[-1]
 
-    def q_binomial(self, n: int, k: int) -> Fraction:
+    def q_binomial(self, n: int, k: int):
         return qcore.q_binomial(n, k).evaluate(self.q0)
+
+
+class RationalQ(_FixedQ):
+    """q fixed to a nonzero exact rational; every value is a Fraction."""
+
+    __slots__ = ()
+
+    def __init__(self, q0):
+        q0 = _exact_fraction(q0, "rational q0")
+        if q0 == 0:
+            raise ValueError("rational mode needs q0 != 0")
+        super().__init__(q0)
+
+    tag = "rational"
+    is_exact = True
 
     @staticmethod
     def sum_of_products(terms) -> Fraction:
@@ -148,32 +153,19 @@ class RationalQ(Record):
         return {"qmode": self.tag, "q0": str(self.q0)}
 
 
-class FloatQ(Record):
+class FloatQ(_FixedQ):
     """q fixed to a nonzero float; every value is a float."""
 
-    __slots__ = _fields = ("q0",)
+    __slots__ = ()
 
     def __init__(self, q0):
         q0 = float(q0)
         if q0 == 0.0:
             raise ValueError("float mode needs q0 != 0")
-        self._set(q0=q0)
+        super().__init__(q0)
 
     tag = "float"
     is_exact = False
-
-    def q_power(self, e: int) -> float:
-        return self.q0**e
-
-    def q_int(self, n: int) -> float:
-        return qcore.float_q_int(n, self.q0)
-
-    q_factorial = _fixed_q_factorial
-
-    def q_binomial(self, n: int, k: int) -> float:
-        if k < 0 or k > n:
-            return 0.0
-        return float(qcore.q_binomial(n, k).evaluate(self.q0))
 
     @staticmethod
     def sum_of_products(terms) -> float:
@@ -226,11 +218,15 @@ def parse_scalar(text: str, mode: QMode) -> Scalar:
     return float(text)
 
 
-def values_equal(lhs: Scalar, rhs: Scalar, mode: QMode, tol: float = 1e-9) -> bool:
-    """Exact equality in exact modes, relative tolerance in float mode."""
+#: Relative tolerance of a float-mode comparison in `values_equal`.
+FLOAT_REL_TOL = 1e-9
+
+
+def values_equal(lhs: Scalar, rhs: Scalar, mode: QMode) -> bool:
+    """Exact equality in exact modes, FLOAT_REL_TOL relative tolerance in float mode."""
     if mode.is_exact:
         return lhs == rhs
-    return abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
+    return abs(lhs - rhs) <= FLOAT_REL_TOL * max(1.0, abs(rhs))
 
 
 def divide_exact(num: Scalar, den: Scalar):

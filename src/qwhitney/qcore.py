@@ -116,9 +116,9 @@ def complete_homogeneous(weights: Sequence, k: int):
     return table[k]
 
 
-def float_q_int(n: int, q: float) -> float:
-    """[n]_q at a float q: (1 - q^n) / (1 - q), or n at q = 1."""
-    return n * 1.0 if q == 1.0 else (1.0 - q**n) / (1.0 - q)
+def q_int_at(n: int, q0):
+    """[n]_q at a fixed q0 (a Fraction or a float): (1 - q0^n) / (1 - q0), or n at q0 = 1."""
+    return n * q0**0 if q0 == 1 else (1 - q0**n) / (1 - q0)
 
 
 def _series(term_step: Callable[[int, float], float], tol: float, cap: int) -> float:
@@ -151,7 +151,7 @@ def q_exp(t: float, q: float, tol: float = 1e-12, *, direct: bool = False,
         return 1.0 / q_exp_hat(-t, q, tol, term_cap=term_cap)
     if abs(t) * (1.0 - q) >= 1.0:
         raise DivergentSeriesError(f"e_q series diverges: |t|(1-q) = {abs(t) * (1 - q)}")
-    return _series(lambda k, term: term * t / float_q_int(k, q), tol, term_cap)
+    return _series(lambda k, term: term * t / q_int_at(k, q), tol, term_cap)
 
 
 def q_exp_hat(t: float, q: float, tol: float = 1e-12, *, direct: bool = False,
@@ -169,5 +169,5 @@ def q_exp_hat(t: float, q: float, tol: float = 1e-12, *, direct: bool = False,
     if t < 0 and not direct:
         return 1.0 / q_exp(-t, q, tol, term_cap=term_cap)
     # q^C(k,2) gains a factor q^(k-1) at step k.
-    return _series(lambda k, term: term * t * q ** (k - 1) / float_q_int(k, q),
+    return _series(lambda k, term: term * t * q ** (k - 1) / q_int_at(k, q),
                    tol, term_cap)

@@ -24,11 +24,12 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
-from math import comb, inf
+from math import comb, inf, isfinite
+from operator import mul
 
 from .errors import DomainError, NonConvergenceError
 from .modes import SYMBOLIC, FloatQ
-from .qcore import float_q_int, q_exp, q_exp_hat, q_falling_factorial, q_int_products
+from .qcore import q_exp, q_exp_hat, q_falling_factorial, q_int_at, q_int_products
 from .record import Record
 from .whitney import WhitneyParams, whitney_second_triangle
 
@@ -90,7 +91,7 @@ def _pmf_stream(spec: QDistSpec) -> Iterator[float]:
     while True:
         yield value
         x += 1
-        step = spec.lam / float_q_int(x, spec.q)
+        step = spec.lam / q_int_at(x, spec.q)
         if spec.family == "heine":
             step *= spec.q ** (x - 1)
         value *= step
@@ -133,10 +134,14 @@ def q_factorial_moment(spec: QDistSpec, order: int) -> float:
         raise DomainError("order must be >= 0")
     if spec.family == "euler":
         return spec.lam**order
-    den = 1.0
-    for i in range(1, order + 1):
-        den *= 1.0 + spec.lam * (1.0 - spec.q) * spec.q ** (i - 1)
-    return spec.q ** comb(order, 2) * spec.lam**order / den
+    return spec.q ** comb(order, 2) * spec.lam**order / _heine_products(spec, order)[order]
+
+
+def _heine_products(spec: QDistSpec, n: int) -> list[float]:
+    """[P_0, ..., P_n], P_k = prod_{i=1..k} (1 + lambda(1-q) q^(i-1)), as running products."""
+    lam, q = spec.lam, spec.q
+    return list(accumulate((1.0 + lam * (1.0 - q) * q ** (i - 1) for i in range(1, n + 1)),
+                           mul, initial=1.0))
 
 
 def whitney_moment(spec: QDistSpec, m: float, r: float, n: int) -> float:
@@ -176,7 +181,7 @@ def moment_pairs(spec: QDistSpec, m: float, r: float,
                direct_moment_oracle(spec, lambda x, k=k: q_falling_factorial(x, k, mode)))
     for n in range(top + 1):
         yield ("whitney", n, whitney_moment(spec, m, r, n),
-               direct_moment_oracle(spec, lambda x, n=n: (m * float_q_int(x, q) + r) ** n))
+               direct_moment_oracle(spec, lambda x, n=n: (m * q_int_at(x, q) + r) ** n))
 
 
 def direct_moment_oracle(spec: QDistSpec, g: Callable[[int], float],
@@ -188,7 +193,8 @@ def direct_moment_oracle(spec: QDistSpec, g: Callable[[int], float],
     still exactly 0 and pmf(x) is a normal float, an outcome is not counted
     as quiet: g may vanish on a leading run (a q-factorial moment of order k
     is 0 for x < k) with the mass still ahead.  Once pmf(x) is subnormal the
-    tail is negligible, so an identically-zero g still sums to 0.0.
+    tail is negligible, so an identically-zero g still sums to 0.0.  A partial
+    sum that is no longer finite (an overflow) is returned at once.
     """
     tol = spec.tol if tol is None else tol
     total = 0.0
@@ -196,6 +202,8 @@ def direct_moment_oracle(spec: QDistSpec, g: Callable[[int], float],
     for x, p in enumerate(islice(_pmf_stream(spec), spec.term_cap)):
         contribution = p * g(x)
         total += contribution
+        if not isfinite(total):
+            return total
         if total == 0.0 and p >= sys.float_info.min:
             continue
         if abs(contribution) < tol * max(abs(total), 1e-300):
@@ -236,7 +244,7 @@ def series_moment(spec: QDistSpec, m: float, r: float, n: int,
         quiet = 0
         ell = 0
         while True:
-            term = lam**ell / fact * (m * float_q_int(ell, q) + r) ** n
+            term = lam**ell / fact * (m * q_int_at(ell, q) + r) ** n
             total += term
             if upper == "truncated":
                 if ell == n:
@@ -251,9 +259,10 @@ def series_moment(spec: QDistSpec, m: float, r: float, n: int,
                 if ell >= spec.term_cap:
                     raise NonConvergenceError("euler moment series did not settle")
             ell += 1
-            fact *= float_q_int(ell, q)
+            fact *= q_int_at(ell, q)
 
     facts = q_int_products(range(1, n + 1), FloatQ(q))
+    products = _heine_products(spec, 2 * n)
     total = 0.0
     for ell in range(n + 1):
         inner_cap = n if upper == "truncated" else n - ell
@@ -264,10 +273,8 @@ def series_moment(spec: QDistSpec, m: float, r: float, n: int,
                 sign = -1.0 if i % 2 else 1.0
                 factor = sign * lam**i * q ** (comb(ell, 2) + 2 * comb(i, 2) + ell * i)
             den = facts[ell] * facts[i]
-            prod = 1.0
-            for j in range(1, ell + i + 1):
-                prod *= 1.0 + lam * (1.0 - q) * q ** (j - 1)
-            total += factor * lam**ell / den * (m * float_q_int(ell, q) + r) ** n / prod
+            total += (factor * lam**ell / den * (m * q_int_at(ell, q) + r) ** n
+                      / products[ell + i])
     return total
 
 

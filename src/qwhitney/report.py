@@ -10,8 +10,8 @@ class IdentityReport(Record):
     """One identity instance at one parameter point.
 
     `point` carries the parameter values and the identity-specific indices;
-    `passed` means lhs == rhs exactly in exact modes, or within the checker's
-    relative tolerance in float mode.
+    `passed` means lhs == rhs exactly in exact modes, or within the relative
+    tolerance `modes.FLOAT_REL_TOL` in float mode.
     """
 
     __slots__ = _fields = ("identity", "point", "lhs", "rhs", "passed")

@@ -394,8 +394,7 @@ def dowling_sequence(params: WhitneyParams, nmax: int) -> tuple:
 # -- defining relations -------------------------------------------------------
 
 
-def defining_first(params: WhitneyParams, ell: int, n: int,
-                   tol: float = 1e-9) -> IdentityReport:
+def defining_first(params: WhitneyParams, ell: int, n: int) -> IdentityReport:
     """First kind: m^n [ell]_q ... [ell-n+1]_q = sum_k w(n,k) (m[ell]_q + r)^k."""
     if ell < 0 or n < 0:
         raise ValueError("ell and n must be >= 0")
@@ -404,11 +403,10 @@ def defining_first(params: WhitneyParams, ell: int, n: int,
     lhs = mode.of(params.m)**n * q_falling_factorial(ell, n, mode)
     rhs = mode.sum_of_products(list(zip(w.row(n), powers(params.weight(ell), n))))
     return IdentityReport("defining_first", params.point(ell=ell, n=n), lhs, rhs,
-                          values_equal(lhs, rhs, mode, tol))
+                          values_equal(lhs, rhs, mode))
 
 
-def defining_second(params: WhitneyParams, ell: int, n: int,
-                    tol: float = 1e-9) -> IdentityReport:
+def defining_second(params: WhitneyParams, ell: int, n: int) -> IdentityReport:
     """Second kind: (m[ell]_q + r)^n = sum_k m^k W(n,k) [ell]_q ... [ell-k+1]_q."""
     if ell < 0 or n < 0:
         raise ValueError("ell and n must be >= 0")
@@ -418,13 +416,12 @@ def defining_second(params: WhitneyParams, ell: int, n: int,
     falling = q_falling_factorials(ell, n, mode)
     rhs = mode.sum_of_products(list(zip(powers(mode.of(params.m), n), W.row(n), falling)))
     return IdentityReport("defining_second", params.point(ell=ell, n=n), lhs, rhs,
-                          values_equal(lhs, rhs, mode, tol))
+                          values_equal(lhs, rhs, mode))
 
 
-def defining_relation_check(params: WhitneyParams, ell: int, n: int,
-                            tol: float = 1e-9) -> list[IdentityReport]:
+def defining_relation_check(params: WhitneyParams, ell: int, n: int) -> list[IdentityReport]:
     """Check both connection-coefficient relations at integer argument ell.
 
     Returns one report per relation; failures are reported, never raised.
     """
-    return [defining_first(params, ell, n, tol), defining_second(params, ell, n, tol)]
+    return [defining_first(params, ell, n), defining_second(params, ell, n)]

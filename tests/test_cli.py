@@ -339,7 +339,8 @@ def test_dist_negative_n_exits_two(capsys, op):
 
 
 @pytest.mark.parametrize("extra", [["--m", "1e400"], ["--r", "1e400", "--n", "2"],
-                                   ["--m", "1e200", "--n", "3"], ["--m=-1e200", "--n", "2"]])
+                                   ["--m", "1e200", "--n", "3"], ["--m=-1e200", "--n", "2"],
+                                   ["--m", "1e308", "--n", "1"]])
 def test_dist_moments_outside_the_float_range_exit_two(capsys, extra):
     code, out, err = run(capsys, "dist", "--family", "heine", "--q", "0.5", "--lambda", "0.7",
                          "--op", "moments", *extra)
@@ -421,6 +422,17 @@ def test_hankel_equal_rows(capsys):
     assert code == 0
     rows = [line.split("\t")[1:] for line in out.splitlines()]
     assert rows[0] == rows[1] == rows[2]
+
+
+def test_hankel_rows_agree_for_any_rational_r(capsys):
+    # D at r + c is the binomial transform with parameter c of D at r, and Hankel
+    # determinants are invariant under it, so the r values need not be integers apart.
+    code, out, _ = run(capsys, "hankel", "--m", "1", "--r-values", "0,1/3,5/2,-7/4",
+                       "--q", "1/2", "--order", "6")
+    assert code == 0
+    rows = [line.split("\t")[1:] for line in out.splitlines()]
+    assert len(rows) == 4 and len(rows[0]) == 6
+    assert rows[0] == rows[1] == rows[2] == rows[3]
 
 
 def test_hankel_mismatch_exits_one(capsys, monkeypatch):

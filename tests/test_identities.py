@@ -318,7 +318,6 @@ def test_unknown_identity():
 def test_nmax_ceiling():
     with pytest.raises(ValueError):
         verify(IdentityId.BOUNDARY, WhitneyParams(1, 0), 13)
-    assert verify(IdentityId.BOUNDARY, WhitneyParams(1, 0), 13, ceiling=13)
 
 
 def test_orthogonality_rejects_zero_m():
