@@ -26,8 +26,8 @@ from .errors import DomainError, QWhitneyError
 from .identities import (
     DEFAULT_GRID,
     IdentityId,
-    UnknownIdentityError,
     hankel_probe,
+    identity_id,
     verify,
 )
 from .modes import SYMBOLIC, canonical_text, parse_qmode, parse_scalar
@@ -186,12 +186,7 @@ def run_verify(args) -> int:
     if args.suite == "all":
         identities = list(IdentityId)
     else:
-        identities = []
-        for name in args.suite.split(","):
-            try:
-                identities.append(IdentityId(name.strip()))
-            except ValueError:
-                raise UnknownIdentityError(f"unknown identity {name.strip()!r}") from None
+        identities = [identity_id(name.strip()) for name in args.suite.split(",")]
     mode = parse_qmode(args.q)
     points = [WhitneyParams(m, r, mode) for m, r in _load_grid(args.grid)]
 

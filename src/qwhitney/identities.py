@@ -165,16 +165,12 @@ def _check_genfunc_second(params, nmax):
     tri = whitney_second_triangle(params, nmax)
     mode = params.qmode
     reports = []
+    den = [mode.q_power(0)]
     for k in range(nmax + 1):
-        # Denominator prod_{i=0..k} (1 - weight(i) t) as coefficients in t.
-        den = [mode.q_power(0)]
-        for i in range(k + 1):
-            w = params.weight(i)
-            nxt = [den[0]]
-            for d in range(1, len(den) + 1):
-                high = den[d] if d < len(den) else 0
-                nxt.append(high - w * den[d - 1])
-            den = nxt
+        # Denominator prod_{i=0..k} (1 - weight(i) t) as coefficients in t:
+        # the one for k - 1 times (1 - weight(k) t).
+        w = params.weight(k)
+        den = [den[0]] + [high - w * low for high, low in zip(den[1:] + [0], den)]
         # Multiply through and equate coefficients: c_n solves the recurrence.
         coeffs = []
         for n in range(nmax + 1):
@@ -396,13 +392,18 @@ _CHECKERS: dict[IdentityId, Callable] = {
 }
 
 
+def identity_id(name) -> IdentityId:
+    """The catalogue entry called name; UnknownIdentityError if there is none."""
+    try:
+        return IdentityId(name)
+    except ValueError:
+        raise UnknownIdentityError(f"unknown identity {name!r}") from None
+
+
 def verify(identity, params: WhitneyParams,
            nmax: int = DEFAULT_NMAX_CEILING) -> list[IdentityReport]:
     """Check one identity at one parameter point over its index lattice."""
-    try:
-        identity = IdentityId(identity)
-    except ValueError:
-        raise UnknownIdentityError(f"unknown identity {identity!r}") from None
+    identity = identity_id(identity)
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     if nmax > DEFAULT_NMAX_CEILING:

@@ -278,7 +278,7 @@ class LaurentPoly:
             q0 = Fraction(q0)
         nums, den = self.nums, self.den
         if not nums:
-            return q0 * 0
+            return q0 - q0
         if q0 == 0:
             if self.val < 0:
                 raise EvalAtZeroError("pole at q = 0")

@@ -5,8 +5,9 @@ kept in decreasing order; the `distinct` flag says whether lengths must be
 strictly decreasing (sets) or only weakly (multisets).  Column geometry and
 fillings carry no extra information for the weight sums and are omitted.
 
-Weighting a column of length L by m [L]_q + r and summing the products over
-a whole enumeration reproduces Whitney numbers:
+Weighting a column of length L by m [L]_q + r (`tableau_weight`) and summing
+over a whole enumeration reproduces Whitney numbers.  `tableau_sum_first` and
+`tableau_sum_second` sum over `enumerate_distinct` and `enumerate_weak`:
 
 * distinct lengths from {0..n-1}, n-k columns  ->  (-1)^(n-k) q^C(n,2) w(n,k)
 * weak lengths from {0..k}, n-k columns        ->  q^-C(k,2) W(n,k)
@@ -74,33 +75,21 @@ def tableau_weight(params: WhitneyParams, tableau: ATableau) -> Scalar:
     return acc
 
 
-def _weight_sum(params: WhitneyParams, universe_max: int, tuples) -> Scalar:
-    # One weight poly per length, computed once; every tableau still visited.
-    weights = [params.weight(length) for length in range(universe_max + 1)]
-    total = 0
-    for combo in tuples:
-        acc = 1
-        for length in combo:
-            acc = weights[length] * acc
-        total = total + acc
-    return total
-
-
 def tableau_sum_first(params: WhitneyParams, n: int, k: int) -> Scalar:
-    """Raw weight sum over distinct tableaux: {0..n-1} lengths, n-k columns.
+    """Weight sum over distinct tableaux: {0..n-1} lengths, n-k columns.
 
     Equals (-1)^(n-k) q^C(n,2) w(n,k) exactly.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    return _weight_sum(params, n - 1, combinations(range(n), n - k))
+    return sum(tableau_weight(params, t) for t in enumerate_distinct(n - 1, n - k))
 
 
 def tableau_sum_second(params: WhitneyParams, n: int, k: int) -> Scalar:
-    """Raw weight sum over weak tableaux: {0..k} lengths, n-k columns.
+    """Weight sum over weak tableaux: {0..k} lengths, n-k columns.
 
     Equals q^-C(k,2) W(n,k) exactly.
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    return _weight_sum(params, k, combinations_with_replacement(range(k + 1), n - k))
+    return sum(tableau_weight(params, t) for t in enumerate_weak(k, n - k))

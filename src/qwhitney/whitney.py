@@ -21,9 +21,10 @@ weight is weight(s + i).  The convolution identities need these families.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, combinations
 from math import comb, lcm
+from operator import add, mul
 
 from .errors import ZeroMError
 from .laurent import LaurentPoly
@@ -363,32 +364,18 @@ def q_stirling_second(n: int, k: int, qmode: QMode = SYMBOLIC) -> Scalar:
 
 def dowling_number(params: WhitneyParams, n: int) -> Scalar:
     """Row sum of the second-kind triangle."""
-    return dowling_sequence(params, n)[n]
+    return reduce(add, whitney_second_triangle(params, n).row(n))
 
 
 def dowling_polynomial(params: WhitneyParams, n: int, x) -> Scalar:
     """sum_k W(n,k) x^k; equals dowling_number at x = 1 and r^n at x = 0."""
-    xv = params.qmode.of(x)
     row = whitney_second_triangle(params, n).row(n)
-    total = row[0]
-    xp = xv
-    for v in row[1:]:
-        total = total + v * xp
-        xp = xp * xv
-    return total
+    return reduce(add, map(mul, row, powers(params.qmode.of(x), n)))
 
 
 def dowling_sequence(params: WhitneyParams, nmax: int) -> tuple:
     """(D(0), ..., D(nmax)) computed from a single triangle."""
-    tri = whitney_second_triangle(params, nmax)
-    out = []
-    for n in range(nmax + 1):
-        row = tri.row(n)
-        total = row[0]
-        for v in row[1:]:
-            total = total + v
-        out.append(total)
-    return tuple(out)
+    return tuple(reduce(add, row) for row in whitney_second_triangle(params, nmax).rows)
 
 
 # -- defining relations -------------------------------------------------------

@@ -114,6 +114,10 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nosuch", "--nmax", "2")
     assert code == 2
     assert "nosuch" in err
+    # Every name is parsed before any check runs, so a valid one first prints nothing.
+    code, out, err = run(capsys, "verify", "--suite", "boundary,nosuch")
+    assert (code, out) == (2, "")
+    assert "nosuch" in err
 
 
 def test_verify_small_all_with_report(tmp_path, capsys):
@@ -178,6 +182,23 @@ def test_verify_count_table_without_report_is_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "edca9e747b4aecc3c6a0d1f89a3e9ffeccd097fac03ed369ec2800a239a6c5d5")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("table", "--kind", "first", "--nmax", "12", "--m", "3/2", "--r", "5/2", "--q", "symbolic"),
+     "62797baa52933dd866532143940cac8a9513b580e040b7e846872c89b76ff823"),
+    (("table", "--kind", "second", "--nmax", "12", "--m", "3/2", "--r", "5/2", "--q", "symbolic"),
+     "485b4ab610df9ece5456f6816269c87450bb151c1e849d194806b48ddc4dd785"),
+    (("table", "--kind", "second", "--nmax", "12", "--m", "3/2", "--r", "5/2", "--q", "-1/2",
+      "--format", "csv"),
+     "91f3f50ebaece5db030f6b61b0899a3f329a37fc7a4cc3eb6f0d34a89d936b53"),
+    (("hankel", "--m", "3/2", "--r-values", "0,1,2", "--q", "1/2", "--order", "12"),
+     "8ca8395478339dd347c2c0bdadf2ba03f6bb61317ec629085709611127c83197"),
+], ids=["table-first-symbolic", "table-second-symbolic", "table-second-csv", "hankel"])
+def test_exact_output_is_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("grid", ["5", "[5]", "[[1]]", "[[1, 0, 2]]", "{\"1\": 0}", "[]"])

@@ -76,6 +76,9 @@ def test_evaluate_examples():
         q_monomial(-1).evaluate(0)
     assert (Q + 2).evaluate(0) == 2
     assert ZERO.evaluate(Fraction(7)) == 0
+    # Positive zero at a negative float q0, where q0 * 0 would be -0.0.
+    for q0 in (-0.5, 0.5):
+        assert math.copysign(1.0, ZERO.evaluate(q0)) == 1.0
 
 
 def test_evaluate_float():

@@ -329,6 +329,14 @@ def test_dowling_values():
         assert dowling_polynomial(p, n, 0) == R**n
         assert dowling_polynomial(p, n, 1) == dowling_number(p, n)
     assert dowling_sequence(p, 5)[3] == dowling_number(p, 3)
+    # The three folds add the same row entries in the same order, so even
+    # float values agree exactly.
+    for mode in (RationalQ(Fraction(-1, 2)), FloatQ(0.5), FloatQ(-0.7)):
+        p = WhitneyParams(M, R, mode)
+        seq = dowling_sequence(p, 6)
+        for n in range(7):
+            assert dowling_number(p, n) == dowling_polynomial(p, n, 1) == seq[n], (mode, n)
+            assert dowling_polynomial(p, n, 0) == R**n, (mode, n)
 
 
 def test_defining_relation_examples():
