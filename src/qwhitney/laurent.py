@@ -87,16 +87,8 @@ class LaurentPoly:
             return self.nums
         return tuple([_rational(c, den) for c in self.nums])
 
-    def is_zero(self) -> bool:
-        return not self.nums
-
     def __bool__(self) -> bool:
         return bool(self.nums)
-
-    @property
-    def valuation(self) -> int:
-        """Lowest exponent (0 for the zero polynomial)."""
-        return self.val
 
     @property
     def degree(self) -> int:
@@ -206,6 +198,8 @@ class LaurentPoly:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
+            if not self.nums:
+                raise ZeroDivisionError("Laurent division by zero")
             if len(self.nums) == 1:
                 return LaurentPoly._from_ints(self.val * n, [self.den ** -n], self.nums[0] ** -n)
             raise InexactDivisionError(

@@ -4,7 +4,9 @@ A mode supplies the handful of primitives the generic algorithms need
 (powers of q, q-integers, injection of exact rational constants, and
 `sum_of_products`, a sum of 2- and 3-factor products) so that every
 higher-level computation runs unchanged over Laurent polynomials,
-Fractions, or floats.  The exact modes fuse a sum of products: numerators
+Fractions, or floats.  All three share one fixed-q base: symbolic q is q
+fixed at the formal variable (the monomial q), so q-powers and q-factorials
+have one implementation.  The exact modes fuse a sum of products: numerators
 are accumulated over a common denominator and reduced once per sum (Knuth,
 TAOCP vol. 2, section 4.5.1); float mode adds left to right, as `acc + a*b`
 does.  Values from different modes never mix silently:
@@ -30,50 +32,8 @@ def _exact_fraction(x, what: str) -> Fraction:
     return Fraction(x)
 
 
-class _SymbolicQ:
-    """q kept as a formal variable; every value is a LaurentPoly."""
-
-    tag = "symbolic"
-    is_exact = True
-
-    def __init__(self):
-        self._powers: dict[int, LaurentPoly] = {}
-
-    def q_power(self, e: int) -> LaurentPoly:
-        p = self._powers.get(e)
-        if p is None:
-            p = self._powers[e] = q_monomial(e)
-        return p
-
-    def q_int(self, n: int) -> LaurentPoly:
-        return qcore.q_integer(n)
-
-    def q_factorial(self, n: int) -> LaurentPoly:
-        return qcore.q_factorial(n)
-
-    def q_binomial(self, n: int, k: int) -> LaurentPoly:
-        return qcore.q_binomial(n, k)
-
-    sum_of_products = staticmethod(laurent.sum_of_products)
-
-    def of(self, x) -> Fraction:
-        return _exact_fraction(x, "symbolic-mode constant")
-
-    def describe(self) -> dict:
-        return {"qmode": self.tag}
-
-    def __repr__(self):
-        return "SYMBOLIC"
-
-    def __reduce__(self):
-        return "SYMBOLIC"  # copy and pickle keep the singleton
-
-
-SYMBOLIC = _SymbolicQ()
-
-
 class _FixedQ(Record):
-    """q fixed to a nonzero number q0; every value is a number of q0's type.
+    """q fixed to q0, a nonzero number or the formal variable; every value has q0's type.
 
     q-powers and q-integers are memoised per instance, keyed by the int.
     """
@@ -102,6 +62,41 @@ class _FixedQ(Record):
 
     def q_binomial(self, n: int, k: int):
         return qcore.q_binomial(n, k).evaluate(self.q0)
+
+
+class _SymbolicQ(_FixedQ):
+    """q kept as a formal variable: q0 is the monomial q, every value a LaurentPoly.
+
+    [n]_q and the Gaussian binomials come from the cached `qcore` polynomials.
+    """
+
+    __slots__ = ()
+
+    tag = "symbolic"
+    is_exact = True
+
+    def q_int(self, n: int) -> LaurentPoly:
+        return qcore.q_integer(n)
+
+    def q_binomial(self, n: int, k: int) -> LaurentPoly:
+        return qcore.q_binomial(n, k)
+
+    sum_of_products = staticmethod(laurent.sum_of_products)
+
+    def of(self, x) -> Fraction:
+        return _exact_fraction(x, "symbolic-mode constant")
+
+    def describe(self) -> dict:
+        return {"qmode": self.tag}
+
+    def __repr__(self):
+        return "SYMBOLIC"
+
+    def __reduce__(self):
+        return "SYMBOLIC"  # copy and pickle keep the singleton
+
+
+SYMBOLIC = _SymbolicQ(q_monomial(1))
 
 
 class RationalQ(_FixedQ):

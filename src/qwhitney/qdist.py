@@ -29,7 +29,8 @@ from operator import mul
 
 from .errors import DomainError, NonConvergenceError
 from .modes import SYMBOLIC, FloatQ
-from .qcore import q_exp, q_exp_hat, q_falling_factorial, q_int_at, q_int_products
+from .qcore import (TERM_CAP, check_series_args, q_exp, q_exp_hat, q_falling_factorial,
+                    q_int_at, q_int_products)
 from .record import Record
 from .whitney import WhitneyParams, whitney_second_triangle
 
@@ -45,27 +46,19 @@ SAMPLE_BATCH = 4096
 class QDistSpec(Record):
     """Distribution family plus its parameters and series tolerances."""
 
-    __slots__ = _fields = ("family", "q", "lam", "tol", "term_cap")
+    __slots__ = _fields = ("family", "q", "lam", "tol")
 
-    def __init__(self, family: str, q: float, lam: float, tol: float = 1e-12,
-                 term_cap: int = 10**6):
+    def __init__(self, family: str, q: float, lam: float, tol: float = 1e-12):
         if family not in FAMILIES:
             raise DomainError(f"family must be one of {FAMILIES}, got {family!r}")
-        if not 0.0 < q < 1.0:
-            raise DomainError(f"q must lie in (0, 1), got {q}")
+        check_series_args(q, tol)
         if not lam > 0.0:
             raise DomainError(f"lambda must be positive, got {lam}")
         if lam == inf:
             raise DomainError(f"lambda must be finite, got {lam}")
-        if tol <= 0.0:
-            raise DomainError("tol must be positive")
-        if not tol < 1.0:  # also nan: a series stopped by it would cut off at once or never
-            raise DomainError(f"tol must lie in (0, 1), got {tol}")
-        if term_cap < 1:
-            raise DomainError("term_cap must be >= 1")
         if family == "euler" and lam * (1.0 - q) >= 1.0:
             raise DomainError(f"euler needs lambda (1-q) < 1, got {lam * (1.0 - q)}")
-        self._set(family=family, q=q, lam=lam, tol=tol, term_cap=term_cap)
+        self._set(family=family, q=q, lam=lam, tol=tol)
 
     @property
     def q_mean(self) -> float:
@@ -80,8 +73,8 @@ class QDistSpec(Record):
 
 def _normalizer(spec: QDistSpec) -> float:
     if spec.family == "heine":
-        return 1.0 / q_exp_hat(spec.lam, spec.q, spec.tol, term_cap=spec.term_cap)
-    return 1.0 / q_exp(spec.lam, spec.q, spec.tol, term_cap=spec.term_cap)
+        return 1.0 / q_exp_hat(spec.lam, spec.q, spec.tol)
+    return 1.0 / q_exp(spec.lam, spec.q, spec.tol)
 
 
 def _pmf_stream(spec: QDistSpec) -> Iterator[float]:
@@ -101,14 +94,14 @@ def pmf_walk(spec: QDistSpec, n: int | None = None) -> Iterator[float]:
     """pmf(0), pmf(1), ...: through pmf(n), or, with n None, through the first
     outcome where the cumulative mass reaches MASS_FLOOR.
 
-    Raises NonConvergenceError if spec.term_cap outcomes do not reach it.
+    Raises NonConvergenceError if TERM_CAP outcomes do not reach it.
     """
     stream = _pmf_stream(spec)
     if n is not None:
         yield from islice(stream, n + 1)
         return
     cumulative = 0.0
-    for p in islice(stream, spec.term_cap):
+    for p in islice(stream, TERM_CAP):
         yield p
         cumulative += p
         if cumulative >= MASS_FLOOR:
@@ -118,7 +111,7 @@ def pmf_walk(spec: QDistSpec, n: int | None = None) -> Iterator[float]:
 
 def pmf(spec: QDistSpec, x: int) -> float:
     """Probability of the outcome x."""
-    if x < 0 or x != int(x):
+    if not (0 <= x < inf and x == int(x)):  # nan and inf fail the range test
         raise DomainError("outcomes are nonnegative integers")
     *_, value = pmf_walk(spec, int(x))
     return value
@@ -199,7 +192,7 @@ def direct_moment_oracle(spec: QDistSpec, g: Callable[[int], float],
     tol = spec.tol if tol is None else tol
     total = 0.0
     quiet = 0
-    for x, p in enumerate(islice(_pmf_stream(spec), spec.term_cap)):
+    for x, p in enumerate(islice(_pmf_stream(spec), TERM_CAP)):
         contribution = p * g(x)
         total += contribution
         if not isfinite(total):
@@ -212,7 +205,7 @@ def direct_moment_oracle(spec: QDistSpec, g: Callable[[int], float],
                 return total
         else:
             quiet = 0
-    raise NonConvergenceError(f"moment series did not settle within {spec.term_cap} terms")
+    raise NonConvergenceError(f"moment series did not settle within {TERM_CAP} terms")
 
 
 def series_moment(spec: QDistSpec, m: float, r: float, n: int,
@@ -238,7 +231,7 @@ def series_moment(spec: QDistSpec, m: float, r: float, n: int,
     q, lam = spec.q, spec.lam
 
     if spec.family == "euler":
-        norm = q_exp_hat(-lam, q, spec.tol, term_cap=spec.term_cap)
+        norm = q_exp_hat(-lam, q, spec.tol)
         total = 0.0
         fact = 1.0
         quiet = 0
@@ -256,7 +249,7 @@ def series_moment(spec: QDistSpec, m: float, r: float, n: int,
                         return norm * total
                 else:
                     quiet = 0
-                if ell >= spec.term_cap:
+                if ell >= TERM_CAP:
                     raise NonConvergenceError("euler moment series did not settle")
             ell += 1
             fact *= q_int_at(ell, q)

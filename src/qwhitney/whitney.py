@@ -96,9 +96,6 @@ class Triangle(Record):
             return self.rows[n][k]
         return 0
 
-    def row(self, n: int) -> tuple:
-        return self.rows[n]
-
 
 @lru_cache(maxsize=512)
 def _first_rows(params: WhitneyParams, nmax: int, shift: int) -> tuple:
@@ -281,10 +278,10 @@ def whitney_second_compositions(params: WhitneyParams, n: int, k: int) -> Scalar
     _check_nk(n, k)
     weights = [params.weight(j) for j in range(k + 1)]
     s = n - k
-    powers = [[1] for _ in range(k + 1)]  # powers[j][c] = weight(j)**c, lazily grown
+    table = [[1] for _ in range(k + 1)]  # table[j][c] = weight(j)**c, lazily grown
 
     def power(j: int, c: int):
-        col = powers[j]
+        col = table[j]
         while len(col) <= c:
             col.append(col[-1] * weights[j])
         return col[c]
@@ -364,12 +361,12 @@ def q_stirling_second(n: int, k: int, qmode: QMode = SYMBOLIC) -> Scalar:
 
 def dowling_number(params: WhitneyParams, n: int) -> Scalar:
     """Row sum of the second-kind triangle."""
-    return reduce(add, whitney_second_triangle(params, n).row(n))
+    return reduce(add, whitney_second_triangle(params, n).rows[n])
 
 
 def dowling_polynomial(params: WhitneyParams, n: int, x) -> Scalar:
     """sum_k W(n,k) x^k; equals dowling_number at x = 1 and r^n at x = 0."""
-    row = whitney_second_triangle(params, n).row(n)
+    row = whitney_second_triangle(params, n).rows[n]
     return reduce(add, map(mul, row, powers(params.qmode.of(x), n)))
 
 
@@ -388,7 +385,7 @@ def defining_first(params: WhitneyParams, ell: int, n: int) -> IdentityReport:
     mode = params.qmode
     w = whitney_first_triangle(params, n)
     lhs = mode.of(params.m)**n * q_falling_factorial(ell, n, mode)
-    rhs = mode.sum_of_products(list(zip(w.row(n), powers(params.weight(ell), n))))
+    rhs = mode.sum_of_products(list(zip(w.rows[n], powers(params.weight(ell), n))))
     return IdentityReport("defining_first", params.point(ell=ell, n=n), lhs, rhs,
                           values_equal(lhs, rhs, mode))
 
@@ -401,7 +398,7 @@ def defining_second(params: WhitneyParams, ell: int, n: int) -> IdentityReport:
     W = whitney_second_triangle(params, n)
     lhs = params.weight(ell)**n
     falling = q_falling_factorials(ell, n, mode)
-    rhs = mode.sum_of_products(list(zip(powers(mode.of(params.m), n), W.row(n), falling)))
+    rhs = mode.sum_of_products(list(zip(powers(mode.of(params.m), n), W.rows[n], falling)))
     return IdentityReport("defining_second", params.point(ell=ell, n=n), lhs, rhs,
                           values_equal(lhs, rhs, mode))
 

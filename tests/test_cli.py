@@ -339,6 +339,16 @@ def test_dist_nonconvergence_exits_two(capsys):
     assert err.startswith("qwhitney: ") and len(err.splitlines()) == 1
 
 
+def test_dist_normalizer_outside_the_float_range_exits_two(capsys):
+    # ehat_q(1e100) overflows within a few terms; the series stops there
+    # instead of running the whole term cap.
+    code, out, err = run(capsys, "dist", "--family", "heine", "--q", "0.5",
+                         "--lambda", "1e100", "--op", "pmf", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("qwhitney: ") and err.count("\n") == 1
+    assert "float range" in err
+
+
 def test_package_arithmetic_error_exits_two(capsys, monkeypatch):
     def inexact(*args):
         raise InexactDivisionError("not divisible")
@@ -524,7 +534,7 @@ _FUZZ_OPTIONS = {
                "grid": (["default"], ["no/such/grid.json"])},
     "dist": {"family": (["heine", "euler"], ["poisson"]),
              "q": (["0.3", "0.5", "0.9"], ["-0.5", "0", "1", "2", "nan", "inf", "x"]),
-             "lambda": (["0.3", "1", "5"], ["0", "-1", "nan", "x"]),
+             "lambda": (["0.3", "1", "5"], ["0", "-1", "nan", "1e100", "x"]),
              "op": (["pmf", "moments", "sample"], ["cdf"]),
              "n": (["0", "1", "4"], ["-1", "x"]),
              "m": (["1", "3/2", "-1/2", "1e200", "1e400", "-1e400"], ["1/0", "x"]),

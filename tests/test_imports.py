@@ -1,7 +1,8 @@
 """Module boundaries inside the package.
 
 Each module uses only the public names of the other package modules, and
-the pmf walk's mass floor is written in one place.
+the pmf walk's mass floor and the series term cap are each written in one
+place.
 """
 
 import ast
@@ -56,3 +57,8 @@ def test_the_scan_sees_both_forms(tmp_path):
 def test_the_mass_floor_is_written_in_one_module():
     holders = [path.name for path in SOURCES if "1.0 - 1e-12" in path.read_text(encoding="utf-8")]
     assert holders == ["qdist.py"]
+
+
+def test_the_term_cap_is_written_in_one_module():
+    holders = [path.name for path in SOURCES if "10**6" in path.read_text(encoding="utf-8")]
+    assert holders == ["qcore.py"]

@@ -29,7 +29,7 @@ def test_zero_normalization():
     assert LaurentPoly(2, ()) == ZERO
     assert not ZERO
     assert LaurentPoly.from_terms({3: 0, -1: 0}) == ZERO
-    assert ZERO.degree == -1 and ZERO.valuation == 0
+    assert ZERO.degree == -1 and ZERO.val == 0
 
 
 def test_coefficients_normalize_to_int():
@@ -66,6 +66,13 @@ def test_pow():
     assert q_monomial(2, 3) ** -1 == q_monomial(-2, Fraction(1, 3))
     with pytest.raises(InexactDivisionError):
         (Q + 1) ** -1
+
+
+def test_negative_power_of_zero_divides_by_zero():
+    # The same error as ZERO in exact_div and /, not a non-monomial complaint.
+    for n in (-1, -3):
+        with pytest.raises(ZeroDivisionError, match="Laurent division by zero"):
+            ZERO ** n
 
 
 def test_evaluate_examples():

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwhitney.laurent import ZERO, LaurentPoly
+from qwhitney.laurent import ZERO, LaurentPoly, q_monomial
 from qwhitney.modes import SYMBOLIC, FloatQ, RationalQ, canonical_text
 
 
@@ -93,3 +93,8 @@ def test_sum_of_products_examples():
     assert str(p) == "1/3 + 1/2*q^1"
     zero = SYMBOLIC.sum_of_products([(q, -q), (q, q)])
     assert (zero.val, zero.nums, zero.den) == (0, (), 1)
+
+
+def test_symbolic_q_powers_are_the_monomials():
+    for e in range(-6, 7):
+        assert SYMBOLIC.q_power(e) == q_monomial(e)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwhitney import qcore
 from qwhitney.errors import DivergentSeriesError, DomainError, NonConvergenceError
 from qwhitney.laurent import ONE, ZERO, LaurentPoly, q_monomial
 from qwhitney.modes import SYMBOLIC, FloatQ, RationalQ
@@ -49,6 +50,13 @@ def test_q_factorial_against_naive_convolution():
     assert q_factorial(0) == ONE
     assert q_factorial(2) == LaurentPoly(0, (1, 1))
     assert q_factorial(3) == LaurentPoly(0, (1, 2, 2, 1))
+
+
+def test_q_factorial_is_the_product_of_q_integers():
+    expected = ONE
+    for n in range(1, 21):
+        expected = expected * q_integer(n)
+        assert q_factorial(n) == expected
 
 
 def q_pascal(n: int, k: int) -> LaurentPoly:
@@ -239,6 +247,22 @@ def test_q_exp_divergence_and_domain():
         q_exp(0.5, 0.5, -1e-9)
 
 
-def test_q_exp_term_cap():
-    with pytest.raises(NonConvergenceError):
-        q_exp(0.5, 0.5, 1e-30, term_cap=3)
+def test_q_exp_term_cap(monkeypatch):
+    monkeypatch.setattr(qcore, "TERM_CAP", 3)
+    with pytest.raises(NonConvergenceError, match="within 3 terms"):
+        q_exp(0.5, 0.5, 1e-30)
+
+
+@pytest.mark.parametrize("t", [1e100, float("nan"), float("inf")])
+def test_q_exp_hat_outside_the_float_range(t):
+    # The partial sum overflows or turns nan within a few terms; the series
+    # stops there instead of running to the term cap.
+    with pytest.raises(DomainError, match="left the float range"):
+        q_exp_hat(t, 0.5)
+
+
+@pytest.mark.parametrize("f", [q_exp, q_exp_hat])
+@pytest.mark.parametrize("tol", [float("nan"), 1.0, 2.0])
+def test_q_exp_tol_must_lie_in_the_unit_interval(f, tol):
+    with pytest.raises(DomainError, match=rf"^tol must lie in \(0, 1\), got {tol}$"):
+        f(0.5, 0.5, tol)

@@ -46,8 +46,9 @@ def test_spec_validation():
         QDistSpec("heine", 0.5, -1.0)
     with pytest.raises(DomainError):
         QDistSpec("poisson", 0.5, 0.5)
-    with pytest.raises(DomainError):
-        pmf(QDistSpec("heine", 0.5, 0.5), -1)
+    for x in (-1, 2.5, float("inf"), float("nan")):
+        with pytest.raises(DomainError, match="outcomes are nonnegative integers"):
+            pmf(QDistSpec("heine", 0.5, 0.5), x)
 
 
 def test_q_mean_accessor():
@@ -261,9 +262,10 @@ def test_sampler_q_mean_close_to_formula():
     assert raw_mean - spec.q_mean > 10 * se  # E[Y] is visibly larger than phi
 
 
-def test_oracle_term_cap():
-    spec = QDistSpec("heine", 0.5, 0.7, tol=1e-30, term_cap=5)
-    with pytest.raises(NonConvergenceError):
+def test_oracle_term_cap(monkeypatch):
+    monkeypatch.setattr(qdist, "TERM_CAP", 5)
+    spec = QDistSpec("heine", 0.5, 0.7, tol=1e-30)
+    with pytest.raises(NonConvergenceError, match="within 5 terms"):
         direct_moment_oracle(spec, lambda x: 1.0)
 
 
@@ -351,9 +353,10 @@ def test_pmf_walk_stops_at_the_mass_floor_or_at_n(spec):
 
 def test_pmf_walk_stops_at_the_term_cap(monkeypatch):
     # A stream whose mass never reaches the floor: the walk to the floor
-    # gives up after term_cap outcomes, a walk to an explicit n does not.
+    # gives up after TERM_CAP outcomes, a walk to an explicit n does not.
     monkeypatch.setattr(qdist, "_pmf_stream", lambda spec: repeat(1e-3))
-    spec = QDistSpec("heine", 0.5, 0.7, term_cap=50)
+    monkeypatch.setattr(qdist, "TERM_CAP", 50)
+    spec = QDistSpec("heine", 0.5, 0.7)
     seen = []
     with pytest.raises(NonConvergenceError, match="cutoff"):
         seen.extend(pmf_walk(spec))
