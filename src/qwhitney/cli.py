@@ -19,7 +19,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from math import isfinite
+from math import inf
 from operator import itemgetter
 
 from .errors import DomainError, QWhitneyError
@@ -31,7 +31,9 @@ from .identities import (
     verify,
 )
 from .modes import SYMBOLIC, canonical_text, parse_qmode, parse_scalar
-from .qdist import MOMENT_REL_TOL, QDistSpec, moment_pairs, pmf_walk, sample_batches
+from .qcore import TERM_CAP
+from .qdist import (MOMENT_NMAX, MOMENT_REL_TOL, QDistSpec, moment_pairs, pmf_walk,
+                    sample_batches)
 from .whitney import WhitneyParams, whitney_first_triangle, whitney_second_triangle
 
 FORMAT_VERSION = "1"
@@ -217,6 +219,9 @@ def run_verify(args) -> int:
 def run_dist(args) -> int:
     if args.n is not None and args.n < 0:
         raise DomainError("--n must be >= 0")
+    ceiling = {"pmf": TERM_CAP - 1, "moments": MOMENT_NMAX}.get(args.op, inf)
+    if args.n is not None and args.n > ceiling:
+        raise DomainError(f"--op {args.op} needs --n <= {ceiling}, got {args.n}")
     if args.op == "moments" and args.tol > MOMENT_REL_TOL:  # the oracle's series stops at tol
         raise DomainError(f"--op moments needs --tol <= {MOMENT_REL_TOL}, got {args.tol}")
     spec = QDistSpec(args.family, args.q, args.lam, tol=args.tol)
@@ -226,14 +231,16 @@ def run_dist(args) -> int:
         return 0
     if args.op == "moments":
         # Every row is computed before any is printed: a moment outside the
-        # float range ends the command with exit 2 and no partial table.
+        # normal float range (an overflow, or a subnormal value whose low bits
+        # are lost) ends the command with exit 2 and no partial table.
         try:
             rows = list(moment_pairs(spec, float(args.m), float(args.r),
                                      3 if args.n is None else args.n))
-            finite = all(isfinite(closed) and isfinite(oracle) for *_, closed, oracle in rows)
+            in_range = all(v == 0.0 or sys.float_info.min <= abs(v) < inf
+                           for *_, closed, oracle in rows for v in (closed, oracle))
         except OverflowError:
-            finite = False
-        if not finite:
+            in_range = False
+        if not in_range:
             raise DomainError("--op moments: a moment at this --m, --r and --n lies outside "
                               "the float range")
         violation = None

@@ -12,6 +12,8 @@ TAOCP vol. 2, section 4.6.1): a product is an int convolution over
 den * den, a sum adds numerators over a common denominator, and one
 variadic gcd restores the form.  `sum_of_products` fuses a whole sum of
 products the same way, with one gcd per sum instead of one per operation.
+Division and negative powers go through `exact_div` (p ** -n is 1 exact_div
+p ** n), and `==`, like `+` and `/`, takes an int or Fraction via `_coerce`.
 `coeffs` is derived on demand for readers that want rational coefficients:
 `int` where a coefficient is integral, a reduced `fractions.Fraction`
 otherwise.  All operations are pure.
@@ -108,14 +110,10 @@ class LaurentPoly:
     # -- equality / hashing --------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, LaurentPoly):
-            return self.val == other.val and self.den == other.den and self.nums == other.nums
-        if isinstance(other, (int, Fraction)):
-            if not self.nums:
-                return other == 0
-            return (self.val == 0 and len(self.nums) == 1
-                    and self.nums[0] == other.numerator and self.den == other.denominator)
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.val == other.val and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
         # Constant polynomials hash like their value so == stays hash-consistent.
@@ -198,13 +196,7 @@ class LaurentPoly:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            if not self.nums:
-                raise ZeroDivisionError("Laurent division by zero")
-            if len(self.nums) == 1:
-                return LaurentPoly._from_ints(self.val * n, [self.den ** -n], self.nums[0] ** -n)
-            raise InexactDivisionError(
-                "negative power of a non-monomial Laurent polynomial"
-            )
+            return ONE.exact_div(self ** -n)
         result = ONE
         base = self
         while n:
@@ -215,14 +207,13 @@ class LaurentPoly:
                 base = base * base
         return result
 
-    def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient c with c*other == self.
+    def exact_div(self, other) -> "LaurentPoly":
+        """Exact quotient c with c*other == self, other a LaurentPoly, int or Fraction.
 
         Raises ZeroDivisionError when other is zero and InexactDivisionError
         when no Laurent quotient exists.
         """
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other)
+        other = as_laurent(other)
         if not other.nums:
             raise ZeroDivisionError("Laurent division by zero")
         if not self.nums:
@@ -249,16 +240,8 @@ class LaurentPoly:
         return LaurentPoly(self.val - other.val, [f * scale for f in quo])
 
     def __truediv__(self, other):
-        if isinstance(other, LaurentPoly):
+        if isinstance(other, (LaurentPoly, int, Fraction)):
             return self.exact_div(other)
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("Laurent division by zero")
-            if not self.nums:
-                return ZERO
-            den = other.denominator
-            return _fill(_new(LaurentPoly), self.val, [c * den for c in self.nums],
-                         self.den * other.numerator)
         return NotImplemented
 
     # -- evaluation ----------------------------------------------------------

@@ -158,6 +158,10 @@ def whitney_moment(spec: QDistSpec, m: float, r: float, n: int) -> float:
 #: that a moment formula must meet against the direct series.
 MOMENT_REL_TOL = 1e-9
 
+#: Highest order `dist --op moments --n` accepts: one symbolic second-kind
+#: triangle per order makes the cost grow steeply with the order.
+MOMENT_NMAX = 40
+
 
 def moment_pairs(spec: QDistSpec, m: float, r: float,
                  top: int) -> Iterator[tuple[str, int, float, float]]:
@@ -187,21 +191,29 @@ def direct_moment_oracle(spec: QDistSpec, g: Callable[[int], float],
     as quiet: g may vanish on a leading run (a q-factorial moment of order k
     is 0 for x < k) with the mass still ahead.  Once pmf(x) is subnormal the
     tail is negligible, so an identically-zero g still sums to 0.0.  A partial
-    sum that is no longer finite (an overflow) is returned at once.
+    sum that is no longer finite (an overflow) is returned at once.  Raises
+    DomainError when a term with a subnormal pmf(x), whose low bits are lost,
+    exceeds tol |sum|.
     """
     tol = spec.tol if tol is None else tol
     total = 0.0
     quiet = 0
+    lost = 0.0  # largest |pmf(x) g(x)| with pmf(x) subnormal
     for x, p in enumerate(islice(_pmf_stream(spec), TERM_CAP)):
         contribution = p * g(x)
         total += contribution
         if not isfinite(total):
             return total
-        if total == 0.0 and p >= sys.float_info.min:
+        if p < sys.float_info.min:
+            lost = max(lost, abs(contribution))
+        elif total == 0.0:
             continue
         if abs(contribution) < tol * max(abs(total), 1e-300):
             quiet += 1
             if quiet >= 10:
+                if lost > tol * abs(total):
+                    raise DomainError("moment series: pmf terms below the normal float "
+                                      "range are not negligible")
                 return total
         else:
             quiet = 0

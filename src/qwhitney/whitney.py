@@ -123,9 +123,10 @@ def _second_rows(params: WhitneyParams, nmax: int, shift: int) -> tuple:
 #     U(n+1,k) = U(n,k-1) - (M[s+n]_q + R) U(n,k)
 #     V(n+1,k) = q^(k-1) V(n,k-1) + (M[s+k]_q + R) V(n,k).
 #
-# Cells are dense int lists indexed by exponent from 0.  Each finished row is
-# handed to LaurentPoly at once, as int numerators over d^(n-k); only the
-# previous integer row is kept.
+# Cells are dense int lists indexed by exponent from 0; one step computes each
+# cell k = 0..n+1, a missing neighbour k-1 or k being the empty list (zero).
+# Each finished row is handed to LaurentPoly at once, as int numerators over
+# d^(n-k); only the previous integer row is kept.
 
 
 def _cleared(params: WhitneyParams) -> tuple[int, int, int]:
@@ -163,11 +164,8 @@ def _first_rows_integer(params: WhitneyParams, nmax: int, shift: int) -> tuple:
     rows = [(LaurentPoly(0, (1,)),)]
     for n in range(nmax):
         j = shift + n
-        nxt = [_combine([], _times_weight(ints[0], j, big_m, big_r), -1)]
-        for k in range(1, n + 1):
-            nxt.append(_combine(ints[k - 1], _times_weight(ints[k], j, big_m, big_r), -1))
-        nxt.append(ints[n])
-        ints = nxt
+        ints = [_combine(a, _times_weight(b, j, big_m, big_r), -1)
+                for a, b in zip([[]] + ints, ints + [[]])]
         val = -comb(n + 1, 2)
         rows.append(tuple(LaurentPoly._from_ints(val, ints[k], dpow[n + 1 - k])
                           for k in range(n + 2)))
@@ -180,12 +178,8 @@ def _second_rows_integer(params: WhitneyParams, nmax: int, shift: int) -> tuple:
     ints = [[1]]
     rows = [(LaurentPoly(0, (1,)),)]
     for n in range(nmax):
-        nxt = [_times_weight(ints[0], shift, big_m, big_r)]
-        for k in range(1, n + 1):
-            nxt.append(_combine(ints[k - 1], _times_weight(ints[k], shift + k, big_m, big_r),
-                                1, k - 1))
-        nxt.append([0] * n + ints[n])
-        ints = nxt
+        ints = [_combine(a, _times_weight(b, shift + k, big_m, big_r), 1, k - 1)
+                for k, (a, b) in enumerate(zip([[]] + ints, ints + [[]]))]
         rows.append(tuple(LaurentPoly._from_ints(0, ints[k], dpow[n + 1 - k])
                           for k in range(n + 2)))
     return tuple(rows)

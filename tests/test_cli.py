@@ -371,13 +371,37 @@ def test_dist_negative_n_exits_two(capsys, op):
 
 @pytest.mark.parametrize("extra", [["--m", "1e400"], ["--r", "1e400", "--n", "2"],
                                    ["--m", "1e200", "--n", "3"], ["--m=-1e200", "--n", "2"],
-                                   ["--m", "1e308", "--n", "1"]])
+                                   ["--m", "1e308", "--n", "1"],
+                                   # A later --q or --lambda replaces the one below.
+                                   # Subnormal moments: closed form 1.6066e-317
+                                   # against oracle 1.5981e-317, 1.934e-320 against 0.
+                                   ["--q", "0.3", "--n", "35"],
+                                   ["--q", "0.25", "--lambda", "0.9", "--n", "33"],
+                                   # A normal 5.8535e-304 whose oracle sums subnormal
+                                   # pmf terms.
+                                   ["--q", "0.35", "--lambda", "3.0", "--n", "38"]])
 def test_dist_moments_outside_the_float_range_exit_two(capsys, extra):
     code, out, err = run(capsys, "dist", "--family", "heine", "--q", "0.5", "--lambda", "0.7",
                          "--op", "moments", *extra)
     assert (code, out) == (2, "")
     assert err.startswith("qwhitney: ") and err.count("\n") == 1
     assert "float range" in err
+
+
+@pytest.mark.parametrize("op,n,ceiling", [("pmf", "99999999999999999999", 999999),
+                                          ("pmf", "1000000", 999999),
+                                          ("moments", "41", 40), ("moments", "100000", 40)])
+def test_dist_n_above_its_ceiling_exits_two(capsys, monkeypatch, op, n, ceiling):
+    # The pmf walk ends at the term cap and the moment table at order 40; a
+    # larger --n is refused before any distribution work.
+    def no_work(*args, **kwargs):
+        raise AssertionError("distribution evaluated")
+
+    monkeypatch.setattr(cli, "pmf_walk", no_work)
+    monkeypatch.setattr(cli, "moment_pairs", no_work)
+    code, out, err = run(capsys, "dist", "--family", "heine", "--q", "0.5", "--lambda", "0.7",
+                         "--op", op, "--n", n)
+    assert (code, out, err) == (2, "", f"qwhitney: --op {op} needs --n <= {ceiling}, got {n}\n")
 
 
 def test_dist_pmf_sums_to_one(capsys):

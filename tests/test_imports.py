@@ -1,8 +1,8 @@
 """Module boundaries inside the package.
 
 Each module uses only the public names of the other package modules, and
-the pmf walk's mass floor and the series term cap are each written in one
-place.
+the pmf walk's mass floor, the series term cap and the Laurent
+division-by-zero error are each written in one place.
 """
 
 import ast
@@ -62,3 +62,8 @@ def test_the_mass_floor_is_written_in_one_module():
 def test_the_term_cap_is_written_in_one_module():
     holders = [path.name for path in SOURCES if "10**6" in path.read_text(encoding="utf-8")]
     assert holders == ["qcore.py"]
+
+
+def test_laurent_division_by_zero_is_raised_in_one_place():
+    texts = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert sum(text.count("Laurent division by zero") for text in texts) == 1

@@ -120,6 +120,7 @@ def test_hash_consistent_with_int_equality():
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 polys = st.dictionaries(st.integers(min_value=-5, max_value=5), rationals,
                         max_size=5).map(LaurentPoly.from_terms)
+nonzero_scalars = (st.integers(min_value=-9, max_value=9) | rationals).filter(bool)
 
 
 @settings(max_examples=150)
@@ -131,9 +132,15 @@ def test_ring_axioms(a, b, c):
 
 
 @settings(max_examples=150)
-@given(polys, polys.filter(bool))
-def test_exact_div_round_trip(a, b):
+@given(polys, polys.filter(bool), nonzero_scalars, st.integers(min_value=-5, max_value=5),
+       st.integers(min_value=1, max_value=4))
+def test_exact_div_round_trip(a, b, c, e, n):
     assert (a * b).exact_div(b) == a
+    # Division by an int or a Fraction, and a negative power of a monomial,
+    # are the exact_div quotients.
+    assert (a * c) / c == a and a / c == a.exact_div(c) == a * (1 / Fraction(c))
+    mono = q_monomial(e, c)
+    assert mono**-n == ONE.exact_div(mono**n) == q_monomial(-e * n, 1 / Fraction(c) ** n)
 
 
 @settings(max_examples=100)
@@ -266,3 +273,8 @@ def test_constants_hash_like_their_value(c, p):
     for const in (LaurentPoly.constant(c), p - p + c, (p + c) - p):
         _assert_primitive_form(const)
         assert const == c and hash(const) == hash(c)
+    # A scalar compares with any polynomial as its constant polynomial does.
+    for value in (c, int(c), p.coefficient(0)):
+        const = LaurentPoly.constant(value)
+        assert (p == value) is (value == p) is (p == const)
+        assert hash(const) == hash(value)

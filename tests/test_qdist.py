@@ -13,6 +13,7 @@ from qwhitney.qdist import (
     SAMPLE_BATCH,
     QDistSpec,
     direct_moment_oracle,
+    moment_pairs,
     pmf,
     pmf_walk,
     q_factorial_moment,
@@ -143,6 +144,15 @@ def test_oracle_zero_function_sums_to_zero():
     for spec in (QDistSpec("euler", 0.5, 0.4), QDistSpec("euler", 0.3, 0.8),
                  QDistSpec("heine", 0.5, 0.7)):
         assert direct_moment_oracle(spec, lambda x: 0.0) == 0.0
+
+
+@pytest.mark.parametrize("q,lam,top", [(0.5, 0.7, 45), (0.7, 0.5, 60)])
+def test_oracle_refuses_subnormal_pmf_terms_that_matter(q, lam, top):
+    # The factorial moment of order top is a normal float (5.4e-306, 3.6e-293),
+    # but the pmf terms it sums are subnormal; the closed form and the oracle
+    # disagreed past 1e-9 relative.
+    with pytest.raises(DomainError, match="float range"):
+        list(moment_pairs(QDistSpec("heine", q, lam), 1.0, 0.0, top))
 
 
 def test_heine_factorial_moment_closed_form():
