@@ -95,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", default=Fraction(0), type=_rational)
     p.add_argument("--count", default=10, type=int)
     p.add_argument("--seed", default=0, type=int)
-    p.add_argument("--tol", default=1e-12, type=float)
     p.set_defaults(func=run_dist)
 
     p = sub.add_parser("hankel", help="Dowling-sequence Hankel probe")
@@ -222,9 +221,7 @@ def run_dist(args) -> int:
     ceiling = {"pmf": TERM_CAP - 1, "moments": MOMENT_NMAX}.get(args.op, inf)
     if args.n is not None and args.n > ceiling:
         raise DomainError(f"--op {args.op} needs --n <= {ceiling}, got {args.n}")
-    if args.op == "moments" and args.tol > MOMENT_REL_TOL:  # the oracle's series stops at tol
-        raise DomainError(f"--op moments needs --tol <= {MOMENT_REL_TOL}, got {args.tol}")
-    spec = QDistSpec(args.family, args.q, args.lam, tol=args.tol)
+    spec = QDistSpec(args.family, args.q, args.lam)
     if args.op == "pmf":
         for x, p in enumerate(pmf_walk(spec, args.n)):
             print(f"{x}\t{canonical_text(p)}")

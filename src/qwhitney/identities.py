@@ -434,14 +434,8 @@ def binomial_inverse(seq: Sequence[Scalar]) -> list[Scalar]:
     """g_n = sum_j (-1)^(n-j) C(n,j) f_j; inverse of binomial_transform."""
     if not seq:
         raise ValueError("binomial_inverse needs a nonempty sequence")
-    out = []
-    for n in range(len(seq)):
-        acc = 0
-        for j in range(n + 1):
-            term = comb(n, j) * seq[j]
-            acc = acc + (term if (n - j) % 2 == 0 else -term)
-        out.append(acc)
-    return out
+    return [sum((-1) ** (n - j) * comb(n, j) * seq[j] for j in range(n + 1))
+            for n in range(len(seq))]
 
 
 def _eliminate(m: list[list], col: int, prev) -> None:

@@ -4,9 +4,9 @@ Symbolic building blocks ([n]_q, [n]_q!, Gaussian binomials, q-falling
 factorials) return exact Laurent polynomials.  The symmetric-polynomial
 evaluators are generic over any scalar supporting ring arithmetic, and the
 q-exponential pair e_q / ehat_q works in floating point for 0 < q < 1.
-The float series here and in `qdist` share one (q, tol) check,
-`check_series_args`, and one term cap, TERM_CAP, a constant that no caller
-sets.
+The float series here and in `qdist` share one q check, `check_series_args`,
+one stopping tolerance, SERIES_TOL, and one term cap, TERM_CAP: constants
+that no caller sets.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from .laurent import ONE, ZERO, LaurentPoly
 
 #: Terms (or outcomes) after which a float series raises NonConvergenceError.
 TERM_CAP = 10**6
+
+#: A float series stops once a term falls below this times its partial sum.
+SERIES_TOL = 1e-12
 
 
 @lru_cache(maxsize=None)
@@ -124,17 +127,13 @@ def q_int_at(n: int, q0):
     return n * q0**0 if q0 == 1 else (1 - q0**n) / (1 - q0)
 
 
-def check_series_args(q: float, tol: float) -> None:
-    """Raise DomainError unless 0 < q < 1 and 0 < tol < 1 (a nan fails both)."""
+def check_series_args(q: float) -> None:
+    """Raise DomainError unless 0 < q < 1 (a nan fails)."""
     if not 0.0 < q < 1.0:
         raise DomainError(f"q must lie in (0, 1), got {q}")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    if not tol < 1.0:  # also nan: a series stopped by it would cut off at once or never
-        raise DomainError(f"tol must lie in (0, 1), got {tol}")
 
 
-def _series(term_step: Callable[[int, float], float], tol: float) -> float:
+def _series(term_step: Callable[[int, float], float]) -> float:
     total = 0.0
     term = 1.0
     k = 0
@@ -146,34 +145,34 @@ def _series(term_step: Callable[[int, float], float], tol: float) -> float:
         if k > TERM_CAP:
             raise NonConvergenceError(f"series did not settle within {TERM_CAP} terms")
         term = term_step(k, term)
-        if abs(term) < tol * abs(total):
+        if abs(term) < SERIES_TOL * abs(total):
             return total
 
 
-def q_exp(t: float, q: float, tol: float = 1e-12, *, direct: bool = False) -> float:
+def q_exp(t: float, q: float, *, direct: bool = False) -> float:
     """e_q(t) = sum_k t^k / [k]_q!, for 0 < q < 1.
 
     The series converges only for |t|(1-q) < 1.  Negative arguments are
     routed through 1 / ehat_q(-t) unless direct=True forces the raw
     (alternating, cancellation-prone) summation.
     """
-    check_series_args(q, tol)
+    check_series_args(q)
     if t < 0 and not direct:
-        return 1.0 / q_exp_hat(-t, q, tol)
+        return 1.0 / q_exp_hat(-t, q)
     if abs(t) * (1.0 - q) >= 1.0:
         raise DivergentSeriesError(f"e_q series diverges: |t|(1-q) = {abs(t) * (1 - q)}")
-    return _series(lambda k, term: term * t / q_int_at(k, q), tol)
+    return _series(lambda k, term: term * t / q_int_at(k, q))
 
 
-def q_exp_hat(t: float, q: float, tol: float = 1e-12, *, direct: bool = False) -> float:
+def q_exp_hat(t: float, q: float, *, direct: bool = False) -> float:
     """ehat_q(t) = sum_k q^C(k,2) t^k / [k]_q!, for 0 < q < 1.
 
     Entire in t; for t >= 0 the direct series is used.  Negative arguments
     go through 1 / e_q(-t) (so e_q(x) ehat_q(-x) = 1 holds by construction),
     which requires (-t)(1-q) < 1; direct=True bypasses that for testing.
     """
-    check_series_args(q, tol)
+    check_series_args(q)
     if t < 0 and not direct:
-        return 1.0 / q_exp(-t, q, tol)
+        return 1.0 / q_exp(-t, q)
     # q^C(k,2) gains a factor q^(k-1) at step k.
-    return _series(lambda k, term: term * t * q ** (k - 1) / q_int_at(k, q), tol)
+    return _series(lambda k, term: term * t * q ** (k - 1) / q_int_at(k, q))

@@ -29,8 +29,8 @@ from operator import mul
 
 from .errors import DomainError, NonConvergenceError
 from .modes import SYMBOLIC, FloatQ
-from .qcore import (TERM_CAP, check_series_args, q_exp, q_exp_hat, q_falling_factorial,
-                    q_int_at, q_int_products)
+from .qcore import (SERIES_TOL, TERM_CAP, check_series_args, q_exp, q_exp_hat,
+                    q_falling_factorial, q_int_at, q_int_products)
 from .record import Record
 from .whitney import WhitneyParams, whitney_second_triangle
 
@@ -44,21 +44,21 @@ SAMPLE_BATCH = 4096
 
 
 class QDistSpec(Record):
-    """Distribution family plus its parameters and series tolerances."""
+    """Distribution family and parameters; its series stop at qcore.SERIES_TOL."""
 
-    __slots__ = _fields = ("family", "q", "lam", "tol")
+    __slots__ = _fields = ("family", "q", "lam")
 
-    def __init__(self, family: str, q: float, lam: float, tol: float = 1e-12):
+    def __init__(self, family: str, q: float, lam: float):
         if family not in FAMILIES:
             raise DomainError(f"family must be one of {FAMILIES}, got {family!r}")
-        check_series_args(q, tol)
+        check_series_args(q)
         if not lam > 0.0:
             raise DomainError(f"lambda must be positive, got {lam}")
         if lam == inf:
             raise DomainError(f"lambda must be finite, got {lam}")
         if family == "euler" and lam * (1.0 - q) >= 1.0:
             raise DomainError(f"euler needs lambda (1-q) < 1, got {lam * (1.0 - q)}")
-        self._set(family=family, q=q, lam=lam, tol=tol)
+        self._set(family=family, q=q, lam=lam)
 
     @property
     def q_mean(self) -> float:
@@ -73,8 +73,8 @@ class QDistSpec(Record):
 
 def _normalizer(spec: QDistSpec) -> float:
     if spec.family == "heine":
-        return 1.0 / q_exp_hat(spec.lam, spec.q, spec.tol)
-    return 1.0 / q_exp(spec.lam, spec.q, spec.tol)
+        return 1.0 / q_exp_hat(spec.lam, spec.q)
+    return 1.0 / q_exp(spec.lam, spec.q)
 
 
 def _pmf_stream(spec: QDistSpec) -> Iterator[float]:
@@ -94,10 +94,13 @@ def pmf_walk(spec: QDistSpec, n: int | None = None) -> Iterator[float]:
     """pmf(0), pmf(1), ...: through pmf(n), or, with n None, through the first
     outcome where the cumulative mass reaches MASS_FLOOR.
 
-    Raises NonConvergenceError if TERM_CAP outcomes do not reach it.
+    Raises NonConvergenceError if TERM_CAP outcomes do not reach it, and
+    DomainError for an n at or past TERM_CAP: every walk honours the cap.
     """
     stream = _pmf_stream(spec)
     if n is not None:
+        if n >= TERM_CAP:
+            raise DomainError(f"outcome {n} lies past the term cap {TERM_CAP}")
         yield from islice(stream, n + 1)
         return
     cumulative = 0.0
@@ -193,9 +196,10 @@ def direct_moment_oracle(spec: QDistSpec, g: Callable[[int], float],
     tail is negligible, so an identically-zero g still sums to 0.0.  A partial
     sum that is no longer finite (an overflow) is returned at once.  Raises
     DomainError when a term with a subnormal pmf(x), whose low bits are lost,
-    exceeds tol |sum|.
+    exceeds tol |sum|.  tol None, the package's only value, means SERIES_TOL;
+    the parameter stays because bench/tracing.py's stand-in oracle passes one.
     """
-    tol = spec.tol if tol is None else tol
+    tol = SERIES_TOL if tol is None else tol
     total = 0.0
     quiet = 0
     lost = 0.0  # largest |pmf(x) g(x)| with pmf(x) subnormal
@@ -243,7 +247,7 @@ def series_moment(spec: QDistSpec, m: float, r: float, n: int,
     q, lam = spec.q, spec.lam
 
     if spec.family == "euler":
-        norm = q_exp_hat(-lam, q, spec.tol)
+        norm = q_exp_hat(-lam, q)
         total = 0.0
         fact = 1.0
         quiet = 0
@@ -255,7 +259,7 @@ def series_moment(spec: QDistSpec, m: float, r: float, n: int,
                 if ell == n:
                     return norm * total
             else:
-                if abs(term) < spec.tol * max(abs(total), 1e-300):
+                if abs(term) < SERIES_TOL * max(abs(total), 1e-300):
                     quiet += 1
                     if quiet >= 10:
                         return norm * total

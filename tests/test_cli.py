@@ -287,39 +287,25 @@ def test_dist_moments_violation_exits_one(capsys, monkeypatch):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("tol,code", [("1e-3", 2), ("1.5e-9", 2), ("1e-9", 0), ("1e-12", 0)])
-def test_dist_moments_tol_above_the_comparison_bound_exits_two(capsys, tol, code):
-    # The oracle's series stops at --tol, so a looser --tol than the 1e-9
-    # comparison would read as a violation; it is refused before any row.
-    got, out, err = run(capsys, "dist", "--family", "euler", "--q", "0.5", "--lambda", "0.3",
-                        "--op", "moments", "--tol", tol)
-    assert got == code
-    if code == 2:
-        assert out == ""
-        assert err == f"qwhitney: --op moments needs --tol <= 1e-09, got {float(tol)}\n"
-    else:
-        assert err == "" and len(out.splitlines()) == 8
+def test_dist_has_no_tol_option(capsys):
+    # Every series stops at the constant qcore.SERIES_TOL.
+    code, out, err = run(capsys, "dist", "--family", "euler", "--q", "0.5", "--lambda", "0.3",
+                         "--op", "moments", "--tol", "1e-12")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --tol 1e-12\n")
 
 
-@pytest.mark.parametrize("lam,options,message", [
-    ("0.7", ["--op", "pmf", "--tol", "inf", "--n", "2"], "tol must lie in (0, 1), got inf"),
-    ("0.7", ["--op", "sample", "--tol", "2"], "tol must lie in (0, 1), got 2.0"),
-    ("0.7", ["--op", "pmf", "--tol", "nan"], "tol must lie in (0, 1), got nan"),
-    ("inf", ["--op", "pmf"], "lambda must be finite, got inf"),
-])
-def test_dist_rejects_a_tol_or_lambda_no_series_can_use(capsys, monkeypatch, lam, options,
-                                                         message):
-    # tol inf or >= 1 stopped the normalizer after one term (pmf(0) = 1, all
-    # draws 0); tol nan and lambda inf ran the whole term cap.  Each is refused
-    # before any series work.
+def test_dist_rejects_an_infinite_lambda_before_any_series(capsys, monkeypatch):
+    # An infinite lambda would run the whole term cap; it is refused before
+    # any series work.
     def no_series(*args, **kwargs):
         raise AssertionError("series evaluated")
 
     monkeypatch.setattr(qdist, "q_exp", no_series)
     monkeypatch.setattr(qdist, "q_exp_hat", no_series)
-    code, out, err = run(capsys, "dist", "--family", "heine", "--q", "0.5", "--lambda", lam,
-                         *options)
-    assert (code, out, err) == (2, "", f"qwhitney: {message}\n")
+    code, out, err = run(capsys, "dist", "--family", "heine", "--q", "0.5", "--lambda", "inf",
+                         "--op", "pmf")
+    assert (code, out, err) == (2, "", "qwhitney: lambda must be finite, got inf\n")
 
 
 def test_dist_divergent_euler(capsys):
@@ -330,10 +316,11 @@ def test_dist_divergent_euler(capsys):
 
 
 def test_dist_nonconvergence_exits_two(capsys):
-    # The normalizing series cannot reach tol 1e-300 within the term cap; the
-    # package error is reported on one line, not as a traceback with exit 1.
-    code, out, err = run(capsys, "dist", "--family", "heine", "--q", "0.999999",
-                         "--lambda", "1000", "--op", "sample", "--tol", "1e-300")
+    # e_q(lambda) converges too slowly at lambda (1-q) just below 1 to settle
+    # within the term cap; the package error is reported on one line, not as
+    # a traceback with exit 1.
+    code, out, err = run(capsys, "dist", "--family", "euler", "--q", "0.5",
+                         "--lambda", "1.999999", "--op", "pmf")
     assert code == 2
     assert out == ""
     assert err.startswith("qwhitney: ") and len(err.splitlines()) == 1
@@ -564,8 +551,7 @@ _FUZZ_OPTIONS = {
              "m": (["1", "3/2", "-1/2", "1e200", "1e400", "-1e400"], ["1/0", "x"]),
              "r": (["0", "5/2", "1e200", "1e400"], ["x"]),
              "count": (["0", "1", "50"], ["-1", "x"]),
-             "seed": (["0", "7"], ["x"]),
-             "tol": (["1e-12", "1e-3"], ["-1", "x"])},
+             "seed": (["0", "7"], ["x"])},
     "hankel": {"m": (["1", "3/2", "-2", "1e400"], ["1/0", "x"]),
                "r-values": (["0,1", "-1/2,1/2", "0,1/2", "1"], ["", "x,1"]),
                "q": (["1/2", "-1/2", "1", "2"], ["0", "x"]),

@@ -1,8 +1,8 @@
 """Module boundaries inside the package.
 
 Each module uses only the public names of the other package modules, and
-the pmf walk's mass floor, the series term cap and the Laurent
-division-by-zero error are each written in one place.
+the pmf walk's mass floor, the series tolerance, the series term cap and
+the Laurent division-by-zero error are each written in one place.
 """
 
 import ast
@@ -57,6 +57,12 @@ def test_the_scan_sees_both_forms(tmp_path):
 def test_the_mass_floor_is_written_in_one_module():
     holders = [path.name for path in SOURCES if "1.0 - 1e-12" in path.read_text(encoding="utf-8")]
     assert holders == ["qdist.py"]
+
+
+def test_the_series_tolerance_is_written_in_one_module():
+    holders = [path.name for path in SOURCES
+               if path.read_text(encoding="utf-8").replace("1.0 - 1e-12", "").count("1e-12")]
+    assert holders == ["qcore.py"]
 
 
 def test_the_term_cap_is_written_in_one_module():

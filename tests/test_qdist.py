@@ -274,7 +274,7 @@ def test_sampler_q_mean_close_to_formula():
 
 def test_oracle_term_cap(monkeypatch):
     monkeypatch.setattr(qdist, "TERM_CAP", 5)
-    spec = QDistSpec("heine", 0.5, 0.7, tol=1e-30)
+    spec = QDistSpec("heine", 0.5, 0.7)
     with pytest.raises(NonConvergenceError, match="within 5 terms"):
         direct_moment_oracle(spec, lambda x: 1.0)
 
@@ -363,7 +363,8 @@ def test_pmf_walk_stops_at_the_mass_floor_or_at_n(spec):
 
 def test_pmf_walk_stops_at_the_term_cap(monkeypatch):
     # A stream whose mass never reaches the floor: the walk to the floor
-    # gives up after TERM_CAP outcomes, a walk to an explicit n does not.
+    # gives up after TERM_CAP outcomes, and a walk to an explicit n stops
+    # short of TERM_CAP.
     monkeypatch.setattr(qdist, "_pmf_stream", lambda spec: repeat(1e-3))
     monkeypatch.setattr(qdist, "TERM_CAP", 50)
     spec = QDistSpec("heine", 0.5, 0.7)
@@ -371,9 +372,17 @@ def test_pmf_walk_stops_at_the_term_cap(monkeypatch):
     with pytest.raises(NonConvergenceError, match="cutoff"):
         seen.extend(pmf_walk(spec))
     assert len(seen) == 50
-    assert len(list(pmf_walk(spec, 99))) == 100
+    assert len(list(pmf_walk(spec, 49))) == 50
+    with pytest.raises(DomainError, match="term cap 50"):
+        list(pmf_walk(spec, 50))
     with pytest.raises(NonConvergenceError, match="cutoff"):
         sample(spec, 1, 0)
+
+
+@pytest.mark.parametrize("x", [qdist.TERM_CAP, 10**20])
+def test_pmf_past_the_term_cap_is_a_domain_error(x):
+    with pytest.raises(DomainError, match=f"^outcome {x} lies past the term cap "):
+        pmf(QDistSpec("heine", 0.5, 0.7), x)
 
 
 @pytest.mark.parametrize("count", [0, 1, SAMPLE_BATCH, 2 * SAMPLE_BATCH + 5])
