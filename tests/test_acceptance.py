@@ -241,6 +241,16 @@ def test_criterion_6_sampler_raw_mean():
         assert abs(mean - spec.q_mean) <= 3 * se, (mean, spec.q_mean, se)
 
 
+def test_criterion_6_sampler_mean():
+    with _criterion(6, "SAMPLER MEAN vs E[Y]", 120):
+        spec, draws = _heine_million_draws()
+        mean_y = direct_moment_oracle(spec, lambda x: x)
+        var_y = direct_moment_oracle(spec, lambda x: x * x) - mean_y**2
+        se = math.sqrt(var_y / len(draws))
+        mean = sum(draws) / len(draws)
+        assert abs(mean - mean_y) <= 5 * se, (mean, mean_y, se)
+
+
 def test_criterion_6_sampler_q_mean():
     with _criterion(6, "SAMPLER q-MEAN vs phi", 120):
         spec, draws = _heine_million_draws()

@@ -1,6 +1,7 @@
 import math
 import random
 from bisect import bisect_right
+from functools import cache
 from itertools import accumulate, repeat
 
 import pytest
@@ -292,6 +293,7 @@ SAMPLER_SPECS = [QDistSpec("heine", q, lam)
                  for q, lam in ((0.3, 0.8), (0.4, 1.0), (0.5, 0.4), (0.6, 1.5))]
 
 
+@cache
 def _reference_cdf(spec):
     cdf = []
     cumulative = 0.0
@@ -310,7 +312,17 @@ def _reference_sample(spec, count, seed):
     return [min(bisect_right(cdf, rng.random()), top) for _ in range(count)]
 
 
-@pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=lambda s: f"{s.family}-{s.q}-{s.lam}")
+#: Long-tailed specs: 22-100% of the cells of their byte tables need the
+#: exact search, and euler 0.99/90 has more outcomes than a byte holds.
+LONG_TAIL_SPECS = [QDistSpec("heine", 0.999, 400.0), QDistSpec("euler", 0.99, 90.0),
+                   QDistSpec("euler", 0.9, 9.0)]
+
+
+def _spec_id(spec):
+    return f"{spec.family}-{spec.q}-{spec.lam}"
+
+
+@pytest.mark.parametrize("spec", SAMPLER_SPECS + LONG_TAIL_SPECS, ids=_spec_id)
 def test_sampler_matches_clamped_table_search(spec):
     for seed in (0, 1, 7, 2024):
         for count in (0, 1, 10_000):
@@ -325,31 +337,95 @@ def test_sampler_one_outcome_table():
         assert sample(spec, 1000, seed) == [0] * 1000 == _reference_sample(spec, 1000, seed)
 
 
+class _DrawStub:
+    """Stands in for random.Random: serves the given draws, each a multiple of
+    2**-53 in [0, 1), to getrandbits as the two 32-bit words random() would
+    have read, with their dropped low bits set."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def getrandbits(self, bits):
+        assert bits % 64 == 0
+        out = 0
+        for i in range(bits // 64):
+            u = next(self.draws) * 2**53
+            assert u == int(u)
+            u = int(u)
+            a, b = (u >> 26) << 5 | 31, (u & (2**26 - 1)) << 6 | 63
+            out |= (a | b << 32) << (64 * i)
+        return out
+
+
+def _sample_from(monkeypatch, spec, draws):
+    monkeypatch.setattr(qdist.random, "Random", lambda seed: _DrawStub(draws))
+    return sample(spec, len(draws), 0)
+
+
 def test_sampler_clamps_draws_at_and_past_the_cutoff(monkeypatch):
     # This table ends below the largest double under 1, so both of the last
-    # two draws fall past it and must clamp to the last outcome.
+    # two draws fall past it and must clamp to the last outcome.  cdf[0] is
+    # not a multiple of 2**-53, so random() never returns it: the two draws
+    # next to it take its place.
     spec = QDistSpec("euler", 0.3, 0.8)
     cdf = _reference_cdf(spec)
     top = len(cdf) - 1
     between = (cdf[1] + cdf[2]) / 2
-    draws = [0.0, cdf[0], between, cdf[-1], 0.9999999999999999]
-    assert cdf[-1] < 0.9999999999999999
+    below, above = (math.floor(cdf[0] * 2**53) / 2**53, math.ceil(cdf[0] * 2**53) / 2**53)
+    draws = [0.0, below, above, between, cdf[-1], 0.9999999999999999]
+    assert below < cdf[0] < above and cdf[-1] < 0.9999999999999999
+    assert _sample_from(monkeypatch, spec, draws) == [0, 0, 1, 2, top, top]
 
-    class Stub:
-        def __init__(self, seed):
-            self.values = iter(draws)
 
-        def random(self):
-            return next(self.values)
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024, 2**70])
+def test_random_is_built_from_the_words_of_getrandbits(seed):
+    # sample_batches relies on this layout.
+    words = random.Random(seed).getrandbits(64 * 3)
+    draw = random.Random(seed).random
+    for i in range(3):
+        word = words >> (64 * i) & (2**64 - 1)
+        a, b = word & 0xFFFFFFFF, word >> 32
+        assert ((a >> 5) * 2**26 + (b >> 6)) / 2**53 == draw()
 
-    monkeypatch.setattr(qdist.random, "Random", Stub)
-    assert sample(spec, len(draws), 0) == [0, 1, 2, top, top]
+
+@pytest.mark.parametrize("spec", SAMPLER_SPECS + [QDistSpec("heine", 0.5, 1e-13),
+                                                  LONG_TAIL_SPECS[1]], ids=_spec_id)
+def test_sampler_at_every_cdf_step_and_byte_edge(monkeypatch, spec):
+    # Draws on both sides of every cdf step and of every edge between two
+    # top-byte cells; euler 0.99/90 has more outcomes than a byte holds.
+    cdf = _reference_cdf(spec)
+    draws, expect = _edge_draws(cdf)
+    assert _sample_from(monkeypatch, spec, draws) == expect
+
+
+def _edge_draws(cdf):
+    """Draws u / 2**53 next to every step of cdf and every top-byte cell edge,
+    with their outcomes under the clamped table search."""
+    ints = {0, 2**53 - 1}
+    for c in cdf:
+        ints.update({math.ceil(c * 2**53), math.ceil(c * 2**53) - 1})
+    for v in range(1, 256):
+        ints.update({v * 2**45, v * 2**45 - 1})
+    ints = sorted(u for u in ints if 0 <= u < 2**53)
+    return [u / 2**53 for u in ints], [min(bisect_right(cdf, u / 2**53), len(cdf) - 1)
+                                       for u in ints]
+
+
+def test_sampler_with_cdf_steps_on_the_last_double_of_a_cell(monkeypatch):
+    # 0.5 - 2**-53 is the last double of the cell [127/256, 128/256) and 0.75
+    # the first of [192/256, 193/256): only the first of the two cells is split.
+    pmfs = [0.25, 0.25 - 2**-53, 0.25 + 2**-53, 0.25]
+    cdf = list(accumulate(pmfs))
+    assert cdf == [0.25, 0.5 - 2**-53, 0.75, 1.0]
+    monkeypatch.setattr(qdist, "pmf_walk", lambda spec: iter(pmfs))
+    draws, expect = _edge_draws(cdf)
+    assert _sample_from(monkeypatch, SAMPLER_SPECS[0], draws) == expect
 
 
 # -- the pmf walk shared by the sampler and `dist --op pmf` ---------------------
 
 
-@pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=lambda s: f"{s.family}-{s.q}-{s.lam}")
+@pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=_spec_id)
 def test_pmf_walk_stops_at_the_mass_floor_or_at_n(spec):
     walk = list(pmf_walk(spec))
     assert walk == [pmf(spec, x) for x in range(len(walk))]
@@ -377,6 +453,12 @@ def test_pmf_walk_stops_at_the_term_cap(monkeypatch):
         list(pmf_walk(spec, 50))
     with pytest.raises(NonConvergenceError, match="cutoff"):
         sample(spec, 1, 0)
+
+
+@pytest.mark.parametrize("n", [-1, -5])
+def test_pmf_walk_rejects_a_negative_n(n):
+    with pytest.raises(DomainError, match=f"^n must be >= 0, got {n}$"):
+        list(pmf_walk(QDistSpec("heine", 0.5, 0.7), n))
 
 
 @pytest.mark.parametrize("x", [qdist.TERM_CAP, 10**20])

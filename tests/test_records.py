@@ -27,12 +27,22 @@ from qwhitney.whitney import Triangle, WhitneyParams, whitney_first_triangle
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def test_cli_import_loads_no_dataclasses_typing_or_inspect():
+def _loaded_by_cli_import(names):
+    """Those of names that `import qwhitney.cli` loads in a fresh interpreter."""
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import qwhitney.cli; "
-            "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))")
+            f"print(sorted({sorted(names)!r} & sys.modules.keys()))")
     out = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC)],
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_cli_import_loads_no_dataclasses_typing_or_inspect():
+    assert _loaded_by_cli_import({"dataclasses", "typing", "inspect"}) == "[]"
+
+
+def test_cli_import_loads_no_array_or_struct():
+    # The sampler works on bytes and ints; neither module may add to cold start.
+    assert _loaded_by_cli_import({"array", "struct", "_struct"}) == "[]"
 
 
 def _triangle():
