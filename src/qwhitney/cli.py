@@ -62,6 +62,18 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _rationals(text: str) -> list[Fraction]:
+    """A comma-separated list of rationals, each read by `_rational`."""
+    return [_rational(tok) for tok in text.split(",")]
+
+
+def _qmode_text(text: str) -> str:
+    """'symbolic', or a rational that `_rational` reads; `parse_qmode` builds the mode."""
+    if text.strip() != "symbolic":
+        _rational(text)
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qwhitney", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -72,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", required=True, type=int)
     p.add_argument("--m", required=True, type=_rational)
     p.add_argument("--r", required=True, type=_rational)
-    p.add_argument("--q", required=True, help="symbolic or a rational like 1/2")
+    p.add_argument("--q", required=True, type=_qmode_text,
+                   help="symbolic or a rational like 1/2")
     p.add_argument("--format", default="json", choices=("json", "csv"))
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(func=run_table)
@@ -81,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all", help="all or comma-separated identity ids")
     p.add_argument("--nmax", default=10, type=int)
     p.add_argument("--grid", default="default", help="default or a JSON file of [m, r] pairs")
-    p.add_argument("--q", default="symbolic")
+    p.add_argument("--q", default="symbolic", type=_qmode_text)
     p.add_argument("--report", default=None, help="write one JSON report per line here")
     p.set_defaults(func=run_verify)
 
@@ -99,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hankel", help="Dowling-sequence Hankel probe")
     p.add_argument("--m", required=True, type=_rational)
-    p.add_argument("--r-values", required=True, dest="r_values",
+    p.add_argument("--r-values", required=True, dest="r_values", type=_rationals,
                    help="comma-separated rationals")
     p.add_argument("--q", required=True, type=_rational)
     p.add_argument("--order", required=True, type=int)
@@ -261,12 +274,11 @@ def run_dist(args) -> int:
 
 
 def run_hankel(args) -> int:
-    r_values = [Fraction(tok) for tok in args.r_values.split(",")]
     if args.order < 1:
         raise DomainError("--order must be >= 1")
-    result = hankel_probe(args.m, r_values, args.q, args.order)
-    for r in r_values:
-        row = result.rows[Fraction(r)]
+    result = hankel_probe(args.m, args.r_values, args.q, args.order)
+    for r in args.r_values:
+        row = result.rows[r]
         print(str(r) + "\t" + "\t".join(canonical_text(v) for v in row))
     if not result.equal:
         print("hankel mismatch across r values", file=sys.stderr)

@@ -22,7 +22,6 @@ from .errors import (
     IncompatibleModeError,
     InsufficientSequenceError,
     UnknownIdentityError,
-    ZeroMError,
 )
 from .modes import RationalQ, Scalar, divide_exact, values_equal
 from .qcore import powers
@@ -322,8 +321,6 @@ def _check_dowling_binomial(identity: IdentityId):
 
 
 def _check_orthogonality(params, nmax):
-    if params.m == 0:
-        raise ZeroMError("orthogonality requires m != 0")
     cap = min(nmax, HEAVY_CAP)
     w = whitney_first_triangle(params, cap).rows
     W = whitney_second_triangle(params, cap).rows

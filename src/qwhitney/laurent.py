@@ -62,7 +62,7 @@ class LaurentPoly:
 
     @classmethod
     def _from_ints(cls, val: int, nums: list, den: int) -> "LaurentPoly":
-        """sum_i nums[i] / den * q^(val+i) from int numerators and an int den != 0."""
+        """sum_i nums[i] / den * q^(val+i) from int numerators and an int den > 0."""
         return _fill(_new(cls), val, nums, den)
 
     @classmethod
@@ -306,7 +306,7 @@ def _store(p: LaurentPoly, val: int, nums: tuple, den: int) -> LaurentPoly:
 
 
 def _fill(p: LaurentPoly, val: int, nums: list, den: int) -> LaurentPoly:
-    """Store nums / den * q^val in p in primitive form (den may be negative)."""
+    """Store nums / den * q^val in p in primitive form; den > 0."""
     lo, hi = 0, len(nums)
     while lo < hi and not nums[lo]:
         lo += 1
@@ -316,9 +316,6 @@ def _fill(p: LaurentPoly, val: int, nums: list, den: int) -> LaurentPoly:
         return _store(p, 0, (), 1)
     if lo or hi < len(nums):
         nums = nums[lo:hi]
-    if den < 0:
-        den = -den
-        nums = [-c for c in nums]
     if den != 1:
         g = gcd(den, *nums)
         if g != 1:

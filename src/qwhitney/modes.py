@@ -2,13 +2,13 @@
 
 A mode supplies the handful of primitives the generic algorithms need
 (powers of q, q-integers, injection of exact rational constants, and
-`sum_of_products`, a sum of 2- and 3-factor products) so that every
+`sum_of_products`, the sum of the products of tuples of factors) so that every
 higher-level computation runs unchanged over Laurent polynomials,
 Fractions, or floats.  All three share one fixed-q base: symbolic q is q
 fixed at the formal variable (the monomial q), so q-powers and q-factorials
 have one implementation.  The exact modes fuse a sum of products: numerators
 are accumulated over a common denominator and reduced once per sum (Knuth,
-TAOCP vol. 2, section 4.5.1); float mode adds left to right, as `acc + a*b`
+TAOCP vol. 2, section 4.5.1); float mode adds left to right, as `acc + a*b*...`
 does.  Values from different modes never mix silently:
 LaurentPoly arithmetic rejects floats, and the exact modes reject float
 constants with a TypeError.
@@ -17,7 +17,7 @@ constants with a TypeError.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from . import laurent, qcore
 from .laurent import LaurentPoly, as_laurent, parse_laurent, q_monomial
@@ -115,30 +115,26 @@ class RationalQ(_FixedQ):
 
     @staticmethod
     def sum_of_products(terms) -> Fraction:
-        """Sum over terms (2- or 3-tuples of ints and Fractions) of their products.
+        """Sum over terms (tuples of ints and Fractions) of the products of their factors.
 
-        One running numerator over a common denominator; terms with a zero
-        numerator are skipped, and the sum is reduced once, at the end.
+        One running numerator over a common denominator; a term is skipped as
+        soon as its running numerator is zero, and the sum is reduced once, at
+        the end.
         """
         num, den = 0, 1
         for term in terms:
-            if len(term) == 2:
-                a, b = term
-                n = a.numerator * b.numerator
+            n = d = 1
+            for f in term:
+                n *= f.numerator
                 if not n:
-                    continue
-                d = a.denominator * b.denominator
+                    break
+                d *= f.denominator
             else:
-                a, b, c = term
-                n = a.numerator * b.numerator * c.numerator
-                if not n:
-                    continue
-                d = a.denominator * b.denominator * c.denominator
-            if den % d:
-                g = d // gcd(den, d)
-                num *= g
-                den *= g
-            num += n * (den // d)
+                if den % d:
+                    g = d // gcd(den, d)
+                    num *= g
+                    den *= g
+                num += n * (den // d)
         return Fraction(num, den)
 
     def of(self, x) -> Fraction:
@@ -164,15 +160,10 @@ class FloatQ(_FixedQ):
 
     @staticmethod
     def sum_of_products(terms) -> float:
-        """acc = acc + a*b (or a*b*c) left to right from 0, rounding as that loop does."""
+        """acc = acc + prod(term) left to right from 0, rounding as that loop does."""
         acc = 0
         for term in terms:
-            if len(term) == 2:
-                a, b = term
-                acc = acc + a * b
-            else:
-                a, b, c = term
-                acc = acc + a * b * c
+            acc = acc + prod(term)
         return acc
 
     def of(self, x) -> float:

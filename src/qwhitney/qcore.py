@@ -32,8 +32,6 @@ def q_integer(n: int) -> LaurentPoly:
     """[n]_q = 1 + q + ... + q^(n-1); [0]_q = 0; [n]_q = -(q^n + ... + q^-1) for n < 0."""
     if n < 0:
         return LaurentPoly(n, (-1,) * -n)
-    if n == 0:
-        return ZERO
     return LaurentPoly(0, (1,) * n)
 
 

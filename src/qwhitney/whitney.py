@@ -137,11 +137,9 @@ def _cleared(params: WhitneyParams) -> tuple[int, int, int]:
 
 
 def _times_weight(poly: list, j: int, big_m: int, big_r: int) -> list:
-    """(M [j]_q + R) * poly: one running window sum of width j, then R * poly."""
+    """(M [j]_q + R) * poly: one running window sum of width j (0 at j = 0), then R * poly."""
     if not poly:
         return []
-    if j == 0 or not big_m:
-        return [big_r * c for c in poly]
     padded = poly + [0] * (j - 1)
     prefix = [0] * j + list(accumulate(padded))
     return [big_m * (hi - lo) + big_r * c for hi, lo, c in zip(prefix[j:], prefix, padded)]
@@ -195,16 +193,9 @@ def _first_rows_recurrence(params: WhitneyParams, nmax: int, shift: int) -> tupl
         prev = rows[n]
         wn = params.weight(shift + n)
         qn = mode.q_power(-n)
-        row = []
-        for k in range(n + 2):
-            if k == 0:
-                term = -(wn * prev[0])
-            elif k == n + 1:
-                term = prev[n]
-            else:
-                term = prev[k - 1] - wn * prev[k]
-            row.append(qn * term)
-        rows.append(tuple(row))
+        rows.append((qn * -(wn * prev[0]),
+                     *[qn * (a - wn * b) for a, b in zip(prev, prev[1:])],
+                     qn * prev[n]))
     return tuple(rows)
 
 
@@ -215,16 +206,9 @@ def _second_rows_recurrence(params: WhitneyParams, nmax: int, shift: int) -> tup
     rows = [(mode.q_power(0),)]
     for n in range(nmax):
         prev = rows[n]
-        row = []
-        for k in range(n + 2):
-            if k == 0:
-                term = weights[0] * prev[0]
-            elif k == n + 1:
-                term = qpow[n] * prev[n]
-            else:
-                term = qpow[k - 1] * prev[k - 1] + weights[k] * prev[k]
-            row.append(term)
-        rows.append(tuple(row))
+        rows.append((weights[0] * prev[0],
+                     *[qk * a + wk * b for qk, a, wk, b in zip(qpow, prev, weights[1:], prev[1:])],
+                     qpow[n] * prev[n]))
     return tuple(rows)
 
 

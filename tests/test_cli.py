@@ -150,6 +150,17 @@ def test_verify_custom_grid(tmp_path, capsys):
     assert out.splitlines()[0] == "boundary\t32\t0"
 
 
+@pytest.mark.parametrize("q", ["symbolic", "1/2"])
+def test_verify_passes_on_a_zero_m_grid(tmp_path, capsys, q):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([["0", r] for r in ("1", "0", "5/2", "-1")]))
+    code, out, err = run(capsys, "verify", "--suite", "all", "--nmax", "6", "--q", q,
+                         "--grid", str(grid))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 20 and lines[-1].startswith("PASS\t")
+
+
 @pytest.mark.parametrize("q, digest", [
     ("symbolic", "f03646cc12e7c508bb673f5f5f1c7e2be20e7bd8d8b305929b4f9134c27f22b1"),
     ("1/2", "e11c4f524f4f50e720161f2d305829d19a7978dad820dd3d56440aeb24bd8c7b"),
@@ -503,6 +514,20 @@ def test_hankel_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "table --kind first --nmax 2 --m {} --r 0 --q 1/2",
+    "table --kind first --nmax 2 --m 1 --r 0 --q {}",
+    "verify --suite boundary --nmax 2 --q {}",
+    "hankel --m 1 --r-values 0,{} --q 1/2 --order 2",
+    "hankel --m 1 --r-values 0,1 --q {} --order 2",
+])
+@pytest.mark.parametrize("bad", ["1/0", "x"])
+def test_every_rational_option_rejects_a_bad_rational_alike(capsys, argv, bad):
+    code, out, err = run(capsys, *argv.format(bad).split())
+    assert (code, out) == (2, "")
+    assert f"not a rational: '{bad}'" in err
+
+
 @pytest.mark.parametrize("spaced, joined", [
     ("table --kind second --nmax 3 --m -3/2 --r -1/2 --q -1/2",
      "table --kind second --nmax 3 --m=-3/2 --r=-1/2 --q=-1/2"),
@@ -536,12 +561,12 @@ _FUZZ_OPTIONS = {
               "nmax": (["0", "1", "3", "5"], ["-1", "2.5", "x"]),
               "m": (["1", "-3/2", "5/2", "0", "1e400"], ["1/0", "0.5", "x", ""]),
               "r": (["0", "1", "-1/2", "-1e400"], ["1/-2", "--"]),
-              "q": (["symbolic", "1/2", "-1/2", "1", "-1", "2"], ["0", "x"]),
+              "q": (["symbolic", "1/2", "-1/2", "1", "-1", "2"], ["0", "1/0", "x"]),
               "format": (["json", "csv"], ["xml"])},
     "verify": {"suite": (["all", "boundary", "privault_q,convo_first_b", "genfunc_second"],
                          ["nosuch", ""]),
                "nmax": (["0", "1", "2"], ["-1", "x"]),
-               "q": (["symbolic", "1/2", "-1/2", "1", "-1", "2"], ["0", "x"]),
+               "q": (["symbolic", "1/2", "-1/2", "1", "-1", "2"], ["0", "1/0", "x"]),
                "grid": (["default"], ["no/such/grid.json"])},
     "dist": {"family": (["heine", "euler"], ["poisson"]),
              "q": (["0.3", "0.5", "0.9"], ["-0.5", "0", "1", "2", "nan", "inf", "x"]),
@@ -553,7 +578,7 @@ _FUZZ_OPTIONS = {
              "count": (["0", "1", "50"], ["-1", "x"]),
              "seed": (["0", "7"], ["x"])},
     "hankel": {"m": (["1", "3/2", "-2", "1e400"], ["1/0", "x"]),
-               "r-values": (["0,1", "-1/2,1/2", "0,1/2", "1"], ["", "x,1"]),
+               "r-values": (["0,1", "-1/2,1/2", "0,1/2", "1"], ["", "x,1", "0,1/0"]),
                "q": (["1/2", "-1/2", "1", "2"], ["0", "x"]),
                "order": (["1", "2", "4"], ["0", "-1", "x"])},
 }

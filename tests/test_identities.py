@@ -11,7 +11,6 @@ from qwhitney.errors import (
     IncompatibleModeError,
     InsufficientSequenceError,
     UnknownIdentityError,
-    ZeroMError,
 )
 from qwhitney.identities import (
     DEFAULT_GRID,
@@ -320,9 +319,13 @@ def test_nmax_ceiling():
         verify(IdentityId.BOUNDARY, WhitneyParams(1, 0), 13)
 
 
-def test_orthogonality_rejects_zero_m():
-    with pytest.raises(ZeroMError):
-        verify(IdentityId.ORTHOGONALITY, WhitneyParams(0, 1), 4)
+@pytest.mark.parametrize("qmode", [SYMBOLIC, RationalQ(Fraction(1, 2))],
+                         ids=["symbolic", "1/2"])
+@pytest.mark.parametrize("r", [1, 0, Fraction(5, 2), -1], ids=str)
+def test_orthogonality_holds_at_zero_m(qmode, r):
+    # Each checked sum is a polynomial in m that vanishes for every m != 0.
+    reports = verify(IdentityId.ORTHOGONALITY, WhitneyParams(0, r, qmode), 6)
+    assert reports and all(rep.passed for rep in reports)
 
 
 def test_genfunc_requires_exact_mode():

@@ -18,7 +18,7 @@ class _Opaque(int):
 
 
 def _plain_sum(terms):
-    """acc = acc + a*b (or a*b*c), left to right from 0."""
+    """acc = acc + the product of each term's factors, left to right from 0."""
     acc = 0
     for term in terms:
         product = term[0]
@@ -43,10 +43,10 @@ floats = st.one_of(st.just(0.0), st.just(-0.0),
 
 
 def _terms(factors, zeros=(0,)):
-    """Lists of mixed 2- and 3-factor terms, empty lists included, plus terms led
+    """Lists of terms of 1 to 4 factors, empty lists included, plus terms led
     by one of `zeros` whose next factor is opaque: an exact mode must skip them
     without reading it."""
-    term = st.one_of(st.tuples(factors, factors), st.tuples(factors, factors, factors))
+    term = st.lists(factors, min_size=1, max_size=4).map(tuple)
     zero = st.sampled_from(zeros)
     skipped = st.one_of(st.tuples(zero, st.just(_Opaque(5))),
                         st.tuples(zero, st.just(_Opaque(3)), factors))
