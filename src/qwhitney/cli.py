@@ -183,7 +183,10 @@ def _load_grid(source: str) -> list[tuple[Fraction, Fraction]]:
         raise DomainError(f"--grid {source}: expected a JSON list of [m, r] pairs")
     if not raw:
         raise DomainError(f"--grid {source}: no [m, r] pairs, so nothing to verify")
-    return [(Fraction(str(m)), Fraction(str(r))) for m, r in raw]
+    try:
+        return [(_rational(str(m)), _rational(str(r))) for m, r in raw]
+    except argparse.ArgumentTypeError as exc:
+        raise DomainError(f"--grid {source}: {exc}") from None
 
 
 def _report_order(reports: list):

@@ -17,6 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product
 from math import comb
+from operator import add, sub
 
 from .errors import (
     IncompatibleModeError,
@@ -84,78 +85,53 @@ def _rep(identity: IdentityId, params: WhitneyParams, indices: dict,
                           values_equal(lhs, rhs, params.qmode))
 
 
-def _check_vertical_first(params, nmax):
-    # rhs(n,k) = q^-C(n+1,2) A_n(k), A_n(k) = sum_{j=k..n} (-1)^(n-j) q^C(j,2)
-    # T(j,k) prod_{i=j+1..n} weight(i), by Horner's rule in the weights:
-    # A_n(k) = q^C(n,2) T(n,k) - weight(n) A_(n-1)(k).
-    rows = whitney_first_triangle(params, nmax).rows
-    mode = params.qmode
-    acc = []
-    reports = []
-    for n in range(nmax):
-        acc.append(0)
-        qn, wn, scale = mode.q_power(comb(n, 2)), params.weight(n), mode.q_power(-comb(n + 1, 2))
-        for k in range(n + 1):
-            acc[k] = qn * rows[n][k] - wn * acc[k]
-            reports.append(_rep(IdentityId.VERTICAL_FIRST, params, {"n": n, "k": k},
-                                rows[n + 1][k + 1], scale * acc[k]))
-    return reports
+#: The recurrence identities, first-order Horner sums in w = weight(i(n, k)):
+#: (kind, layout, op, i(n, k), q-exponent b(n, k), q-exponent s(n, k)), where
+#:   vertical:    T(n+1, k+1) = q^s A_n(k) for n < nmax, with
+#:                A_n(k) = op(q^b T(n, k), w A_(n-1)(k)) down column k and A_(k-1)(k) = 0;
+#:   horizontal:  T(n, k) = q^s B(k) for n <= nmax, with
+#:                B(k) = op(q^b T(n+1, k+1), w B(k+1)) along row n+1 and B(n+1) = 0.
+_RECURRENCES = {
+    IdentityId.VERTICAL_FIRST: ("first", "vertical", sub, lambda n, k: n,
+                                lambda n, k: comb(n, 2), lambda n, k: -comb(n + 1, 2)),
+    IdentityId.VERTICAL_SECOND: ("second", "vertical", add, lambda n, k: k + 1,
+                                 lambda n, k: 0, lambda n, k: k),
+    IdentityId.HORIZONTAL_FIRST: ("first", "horizontal", add, lambda n, k: n,
+                                  lambda n, k: 0, lambda n, k: n),
+    IdentityId.HORIZONTAL_SECOND: ("second", "horizontal", sub, lambda n, k: k + 1,
+                                   lambda n, k: -comb(k + 1, 2), lambda n, k: comb(k, 2)),
+}
 
 
-def _check_vertical_second(params, nmax):
-    # rhs(n,k) = q^k A_n(k), A_n(k) = sum_{j=k..n} weight(k+1)^(n-j) T(j,k), by
-    # Horner's rule in weight(k+1): A_n(k) = weight(k+1) A_(n-1)(k) + T(n,k).
-    rows = whitney_second_triangle(params, nmax).rows
-    mode = params.qmode
-    acc = []
-    reports = []
-    for n in range(nmax):
-        acc.append(0)
-        for k in range(n + 1):
-            acc[k] = acc[k] * params.weight(k + 1) + rows[n][k]
-            reports.append(_rep(IdentityId.VERTICAL_SECOND, params, {"n": n, "k": k},
-                                rows[n + 1][k + 1], mode.q_power(k) * acc[k]))
-    return reports
+def _check_recurrence(identity: IdentityId):
+    kind, layout, op, index, b, s = _RECURRENCES[identity]
+    vertical = layout == "vertical"
 
+    def check(params, nmax):
+        build = whitney_first_triangle if kind == "first" else whitney_second_triangle
+        last = nmax if vertical else nmax + 1
+        # A horizontal left side on row n needs row n+1: one extra base row.
+        rows = build(params, last).rows
+        mode = params.qmode
+        reports = []
+        acc = []
+        for n in range(last):
+            if vertical:
+                acc.append(0)
+            else:
+                acc = [0] * (n + 2)
+            for k in range(n + 1) if vertical else range(n, -1, -1):
+                t = rows[n][k] if vertical else rows[n + 1][k + 1]
+                e = b(n, k)
+                acc[k] = op(mode.q_power(e) * t if e else t,
+                            params.weight(index(n, k)) * acc[k if vertical else k + 1])
+            reports.extend(_rep(identity, params, {"n": n, "k": k},
+                                rows[n + 1][k + 1] if vertical else rows[n][k],
+                                mode.q_power(s(n, k)) * acc[k])
+                           for k in range(n + 1))
+        return reports
 
-def _horner_down(n: int, step) -> list:
-    """[B_0, ..., B_n] with B_(n+1) = 0 and B_k = step(k, B_(k+1))."""
-    out = [0] * (n + 2)
-    for k in range(n, -1, -1):
-        out[k] = step(k, out[k + 1])
-    return out
-
-
-def _check_horizontal_first(params, nmax):
-    # rhs(n,k) = q^n B(k), B(k) = sum_{j=0..n-k} wn^j T(n+1,k+j+1) with
-    # wn = weight(n), by Horner's rule in wn: B(k) = T(n+1,k+1) + wn B(k+1).
-    # Relates row n to row n+1, so the triangle extends one row past nmax.
-    rows = whitney_first_triangle(params, nmax + 1).rows
-    mode = params.qmode
-    reports = []
-    for n in range(nmax + 1):
-        above, wn, qn = rows[n + 1], params.weight(n), mode.q_power(n)
-        sums = _horner_down(n, lambda k, b: above[k + 1] + wn * b)
-        reports.extend(_rep(IdentityId.HORIZONTAL_FIRST, params, {"n": n, "k": k},
-                            rows[n][k], qn * sums[k]) for k in range(n + 1))
-    return reports
-
-
-def _check_horizontal_second(params, nmax):
-    # rhs(n,k) = q^C(k,2) B(k), B(k) = sum_{c=k+1..n+1} (-1)^(c-k-1) q^-C(c,2)
-    # T(n+1,c) prod_{i=k+1..c-1} weight(i), by Horner's rule in the weights:
-    # B(k) = q^-C(k+1,2) T(n+1,k+1) - weight(k+1) B(k+1).
-    rows = whitney_second_triangle(params, nmax + 1).rows
-    mode = params.qmode
-    reports = []
-    for n in range(nmax + 1):
-        above = rows[n + 1]
-        sums = _horner_down(n, lambda k, b: (mode.q_power(-comb(k + 1, 2)) * above[k + 1]
-                                             - params.weight(k + 1) * b))
-        reports.extend(_rep(IdentityId.HORIZONTAL_SECOND, params, {"n": n, "k": k},
-                            rows[n][k], mode.q_power(comb(k, 2)) * sums[k])
-                       for k in range(n + 1))
-    return reports
+    return check
 
 
 def _check_genfunc_second(params, nmax):
@@ -370,10 +346,7 @@ def _check_defining(relation: Callable):
 
 
 _CHECKERS: dict[IdentityId, Callable] = {
-    IdentityId.VERTICAL_FIRST: _check_vertical_first,
-    IdentityId.VERTICAL_SECOND: _check_vertical_second,
-    IdentityId.HORIZONTAL_FIRST: _check_horizontal_first,
-    IdentityId.HORIZONTAL_SECOND: _check_horizontal_second,
+    **{identity: _check_recurrence(identity) for identity in _RECURRENCES},
     IdentityId.GENFUNC_SECOND: _check_genfunc_second,
     IdentityId.BOUNDARY: _check_boundary,
     IdentityId.R_DECOMP_FIRST: _check_r_decomp(IdentityId.R_DECOMP_FIRST, "first"),

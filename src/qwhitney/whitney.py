@@ -146,12 +146,17 @@ def _times_weight(poly: list, j: int, big_m: int, big_r: int) -> list:
 
 
 def _combine(a: list, b: list, sign: int, offset: int = 0) -> list:
-    """q^offset * a + sign * b on dense int lists."""
+    """q^offset * a + sign * b on dense int lists, without trailing zeros.
+
+    The trim keeps rows from growing by zeros, as `_times_weight` pads at M = 0.
+    """
     out = [0] * offset + a
     if len(out) < len(b):
         out.extend([0] * (len(b) - len(out)))
     for i, c in enumerate(b):
         out[i] += sign * c
+    while out and not out[-1]:
+        out.pop()
     return out
 
 

@@ -44,6 +44,12 @@ def test_table_nmax_zero(capsys):
     assert out.splitlines() == ["1"]
 
 
+def test_table_rejects_negative_nmax(capsys):
+    code, out, err = run(capsys, "table", "--kind", "first", "--nmax", "-1",
+                         "--m", "1", "--r", "0", "--q", "symbolic")
+    assert (code, out, err) == (2, "", "qwhitney: --nmax must be >= 0\n")
+
+
 def test_table_rejects_q_zero(capsys):
     code, _, err = run(capsys, "table", "--kind", "second", "--nmax", "2",
                        "--m", "1", "--r", "1", "--q", "0")
@@ -221,6 +227,19 @@ def test_verify_rejects_malformed_grid(tmp_path, capsys, grid):
     assert code == 2
     assert out == ""
     assert err.startswith("qwhitney: ")
+
+
+@pytest.mark.parametrize("entry, text", [
+    ('"1/0"', "1/0"), ('"x"', "x"), ("true", "True"), ("1e400", "inf"),
+], ids=["zero-den", "word", "bool", "overflow"])
+def test_verify_reads_grid_entries_as_rationals(tmp_path, capsys, entry, text):
+    # Each entry goes through the one rational parser, as str(value).
+    path = tmp_path / "grid.json"
+    path.write_text(f"[[{entry}, 0]]")
+    code, out, err = run(capsys, "verify", "--suite", "boundary", "--nmax", "2",
+                         "--grid", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"qwhitney: --grid {path}: not a rational: {text!r}\n"
 
 
 def test_verify_violation_exits_one(tmp_path, capsys, corrupt_rows):
@@ -486,6 +505,26 @@ def test_hankel_rows_agree_for_any_rational_r(capsys):
     rows = [line.split("\t")[1:] for line in out.splitlines()]
     assert len(rows) == 4 and len(rows[0]) == 6
     assert rows[0] == rows[1] == rows[2] == rows[3]
+
+
+def test_hankel_degenerate_sequence_takes_the_zero_pivot_fallback(capsys, monkeypatch):
+    # lambda_1 = m + q - 1 = 0 here, so the second leading minor vanishes and
+    # every larger size is eliminated on its own by `_det_fraction_free`.
+    from qwhitney import identities
+
+    sizes = []
+    det = identities._det_fraction_free
+
+    def spy(matrix):
+        sizes.append(len(matrix))
+        return det(matrix)
+
+    monkeypatch.setattr(identities, "_det_fraction_free", spy)
+    code, out, err = run(capsys, "hankel", "--m", "3/2", "--r-values", "0,1/3",
+                         "--q", "-1/2", "--order", "6")
+    assert (code, err) == (0, "")
+    assert out == "0\t1\t0\t0\t0\t0\t0\n1/3\t1\t0\t0\t0\t0\t0\n"
+    assert sizes == [3, 4, 5, 6] * 2
 
 
 def test_hankel_mismatch_exits_one(capsys, monkeypatch):

@@ -2,11 +2,13 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwhitney import identities
 from qwhitney.errors import (
     IncompatibleModeError,
     InsufficientSequenceError,
@@ -175,6 +177,27 @@ HORNER_RHS_SHA256 = {
 @pytest.mark.parametrize("q, identity", list(HORNER_RHS_SHA256))
 def test_horner_right_sides_are_pinned(q, identity):
     assert _rhs_digest(q, identity) == HORNER_RHS_SHA256[q, identity]
+
+
+RECURRENCE_FAULTS = {
+    "op-swapped": lambda entry: (*entry[:2], sub if entry[2] is add else add, *entry[3:]),
+    "b-shifted": lambda entry: (*entry[:4], lambda n, k, b=entry[4]: b(n, k) + 1, entry[5]),
+}
+
+
+@pytest.mark.parametrize("fault", list(RECURRENCE_FAULTS))
+@pytest.mark.parametrize("identity", list(identities._RECURRENCES))
+def test_each_recurrence_entry_is_load_bearing(monkeypatch, identity, fault):
+    # A fault in one table entry must change a right side and fail the identity.
+    params = WhitneyParams(Fraction(3, 2), Fraction(5, 2))
+    clean = verify(identity, params, 4)
+    faulty = RECURRENCE_FAULTS[fault](identities._RECURRENCES[identity])
+    monkeypatch.setitem(identities._RECURRENCES, identity, faulty)
+    monkeypatch.setitem(identities._CHECKERS, identity, identities._check_recurrence(identity))
+    patched = verify(identity, params, 4)
+    assert [rep.point for rep in patched] == [rep.point for rep in clean]
+    assert any(a.rhs != b.rhs for a, b in zip(patched, clean))
+    assert not all(rep.passed for rep in patched)
 
 
 #: sha256 of the canonical-text right sides at (3/2, 5/2), nmax 6, recorded when

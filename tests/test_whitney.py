@@ -263,6 +263,25 @@ def test_symbolic_kernel_matches_generic_recurrence(kind, m, r):
                 assert _exact_form(rows[n][k]) == _exact_form(expect[n][k]), (shift, n, k)
 
 
+@pytest.mark.parametrize("kernel", [whitney._first_rows_integer, whitney._second_rows_integer])
+@pytest.mark.parametrize("r", [Fraction(5, 2), Fraction(0)])
+def test_integer_kernel_keeps_no_trailing_zeros_at_zero_m(monkeypatch, kernel, r):
+    # At M = 0 the weight is the constant R, but `_times_weight` still pads its
+    # product by j - 1 zeros; the kept rows must not carry them forward.
+    kept = []
+    combine = whitney._combine
+
+    def recording(*args):
+        kept.append(combine(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(whitney, "_combine", recording)
+    for shift in (0, 3):
+        kernel(WhitneyParams(Fraction(0), r), 12, shift)
+    assert kept
+    assert not [cell for cell in kept if cell and not cell[-1]]
+
+
 def classical_stirling_second(n, k):
     if k < 0 or k > n:
         return 0
