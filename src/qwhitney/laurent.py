@@ -8,12 +8,12 @@ gcd(den, *nums) == 1; the zero polynomial is (0, (), 1).  Being canonical,
 equality is a tuple comparison.
 
 The ring operations run on ints alone (content and primitive part, Knuth,
-TAOCP vol. 2, section 4.6.1): a product is an int convolution over
-den * den, a sum adds numerators over a common denominator, and one
-variadic gcd restores the form.  `sum_of_products` fuses a whole sum of
-products the same way, with one gcd per sum instead of one per operation.
-Division and negative powers go through `exact_div` (p ** -n is 1 exact_div
-p ** n), and `==`, like `+` and `/`, takes an int or Fraction via `_coerce`.
+TAOCP vol. 2, section 4.6.1), one variadic gcd restoring the form: `*` is
+one int convolution over den * den, and `sum_of_products` adds products of
+factors over their common denominator, one gcd per sum.  `+` and `-` are
+that fused sum over two terms: a + b over (a,) and (b,), a - b over (a,)
+and (-1, b).  Division and negative powers go through `exact_div` (p ** -n
+is 1 exact_div p ** n); `==` and `/` take an int or Fraction via `_coerce`.
 `coeffs` is derived on demand for readers that want rational coefficients:
 `int` where a coefficient is integral, a reduced `fractions.Fraction`
 otherwise.  All operations are pure.
@@ -134,27 +134,9 @@ class LaurentPoly:
         return None
 
     def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
+        if not isinstance(other, (LaurentPoly, int, Fraction)):
             return NotImplemented
-        if not self.nums:
-            return rhs
-        if not rhs.nums:
-            return self
-        lo, hi = (self, rhs) if self.val <= rhs.val else (rhs, self)
-        a, b, den = lo.nums, hi.nums, lo.den
-        if hi.den != den:
-            common = lcm(den, hi.den)
-            a = [c * (common // den) for c in a]
-            b = [c * (common // hi.den) for c in b]
-            den = common
-        out = list(a)
-        off = hi.val - lo.val
-        end = off + len(b)
-        if end > len(out):
-            out.extend([0] * (end - len(out)))
-        out[off:end] = map(add, out[off:end], b)
-        return _fill(_new(LaurentPoly), lo.val, out, den)
+        return sum_of_products(((self,), (other,)))
 
     __radd__ = __add__
 
@@ -164,16 +146,14 @@ class LaurentPoly:
         return _store(_new(LaurentPoly), self.val, tuple([-c for c in self.nums]), self.den)
 
     def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
+        if not isinstance(other, (LaurentPoly, int, Fraction)):
             return NotImplemented
-        return self + (-rhs)
+        return sum_of_products(((self,), (-1, other)))
 
     def __rsub__(self, other):
-        lhs = self._coerce(other)
-        if lhs is None:
+        if not isinstance(other, (LaurentPoly, int, Fraction)):
             return NotImplemented
-        return lhs + (-self)
+        return sum_of_products(((other,), (-1, self)))
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
@@ -346,8 +326,8 @@ def sum_of_products(terms: Iterable[tuple]) -> LaurentPoly:
     convolution over the product of the factors' denominators, left
     unreduced; a term with a zero factor is skipped.  The products are added
     into one dense int list over their least common denominator, and one
-    `_fill` restores the primitive form, where `+` and `*` would reduce after
-    every operation.
+    `_fill` restores the primitive form, where chained `+` and `*` would
+    reduce after every operation.
     """
     parts = []
     lo = hi = None

@@ -186,9 +186,7 @@ def parse_qmode(text: str) -> QMode:
 
 def canonical_text(value: Scalar) -> str:
     """Render a scalar in its canonical text form."""
-    if isinstance(value, LaurentPoly):
-        return str(value)
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (LaurentPoly, int, Fraction)):
         return str(value)
     if isinstance(value, float):
         return format(value, ".17g")

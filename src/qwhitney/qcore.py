@@ -147,30 +147,29 @@ def _series(term_step: Callable[[int, float], float]) -> float:
             return total
 
 
-def q_exp(t: float, q: float, *, direct: bool = False) -> float:
+def q_exp(t: float, q: float) -> float:
     """e_q(t) = sum_k t^k / [k]_q!, for 0 < q < 1.
 
     The series converges only for |t|(1-q) < 1.  Negative arguments are
-    routed through 1 / ehat_q(-t) unless direct=True forces the raw
-    (alternating, cancellation-prone) summation.
+    routed through 1 / ehat_q(-t), which avoids the alternating sum.
     """
     check_series_args(q)
-    if t < 0 and not direct:
+    if t < 0:
         return 1.0 / q_exp_hat(-t, q)
-    if abs(t) * (1.0 - q) >= 1.0:
-        raise DivergentSeriesError(f"e_q series diverges: |t|(1-q) = {abs(t) * (1 - q)}")
+    if t * (1.0 - q) >= 1.0:
+        raise DivergentSeriesError(f"e_q series diverges: |t|(1-q) = {t * (1 - q)}")
     return _series(lambda k, term: term * t / q_int_at(k, q))
 
 
-def q_exp_hat(t: float, q: float, *, direct: bool = False) -> float:
+def q_exp_hat(t: float, q: float) -> float:
     """ehat_q(t) = sum_k q^C(k,2) t^k / [k]_q!, for 0 < q < 1.
 
     Entire in t; for t >= 0 the direct series is used.  Negative arguments
     go through 1 / e_q(-t) (so e_q(x) ehat_q(-x) = 1 holds by construction),
-    which requires (-t)(1-q) < 1; direct=True bypasses that for testing.
+    which requires (-t)(1-q) < 1.
     """
     check_series_args(q)
-    if t < 0 and not direct:
+    if t < 0:
         return 1.0 / q_exp(-t, q)
     # q^C(k,2) gains a factor q^(k-1) at step k.
     return _series(lambda k, term: term * t * q ** (k - 1) / q_int_at(k, q))

@@ -97,6 +97,10 @@ def test_float_mixing_is_an_error():
     with pytest.raises(TypeError):
         Q + 0.5
     with pytest.raises(TypeError):
+        Q - 0.5
+    with pytest.raises(TypeError):
+        0.5 - Q
+    with pytest.raises(TypeError):
         0.5 * Q
     with pytest.raises(TypeError):
         as_laurent(0.5)
@@ -197,10 +201,14 @@ def _assert_primitive_form(p):
 
 
 @settings(max_examples=150)
-@given(polys, polys)
-def test_ring_ops_match_sympy(sp, a, b):
+@given(polys, polys, st.integers(min_value=-9, max_value=9) | rationals)
+def test_ring_ops_match_sympy(sp, a, b, s):
     pa, pb = _poly(sp, a), _poly(sp, b)
-    for result, expected in ((a + b, pa + pb), (a - b, pa - pb), (-a, -pa)):
+    c = sp.Rational(s.numerator, s.denominator)
+    ps = sp.Poly(c * sp.Symbol("q") ** SHIFT, sp.Symbol("q"), domain=sp.QQ)
+    for result, expected in ((a + b, pa + pb), (a - b, pa - pb), (-a, -pa),
+                             (a + s, pa + ps), (s + a, pa + ps), (a - s, pa - ps),
+                             (s - a, ps - pa), (a * s, pa * c), (s * a, pa * c)):
         _assert_primitive_form(result)
         assert _poly(sp, result) == expected
     product = a * b
