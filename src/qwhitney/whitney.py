@@ -4,9 +4,9 @@ The first kind w(n,k) and second kind W(n,k) are the connection coefficients
 between the bases {m^k [x]_q [x-1]_q ... [x-k+1]_q} and {(m[x]_q + r)^k}.
 Everything here is driven by the weight sequence weight(i) = m [i]_q + r:
 
-* triangle builders use the two-term recurrences (the production path):
-  on symbolic q an integer-row kernel with denominators cleared, in the
-  other modes the recurrence on the mode's scalars;
+* triangle builders use the two-term recurrences, one `_STEPS` entry per
+  kind (the production path): on symbolic q an integer-row kernel on
+  U(n,k) = q^-C(n) d^(n-k) T(n,k), in the other modes the scalar recurrence;
 * explicit forms (elementary-symmetric, composition enumeration,
   complete-homogeneous, alternating q-binomial sum) recompute single entries
   and exist to cross-check the recurrences;
@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations
 from math import comb, lcm
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import ZeroMError
 from .laurent import LaurentPoly
@@ -99,41 +99,37 @@ class Triangle(Record):
 
 @lru_cache(maxsize=512)
 def _first_rows(params: WhitneyParams, nmax: int, shift: int) -> tuple:
-    if params.qmode is SYMBOLIC:
-        return _first_rows_integer(params, nmax, shift)
-    return _first_rows_recurrence(params, nmax, shift)
+    build = _rows_integer if params.qmode is SYMBOLIC else _rows_recurrence
+    return build("first", params, nmax, shift)
 
 
 @lru_cache(maxsize=512)
 def _second_rows(params: WhitneyParams, nmax: int, shift: int) -> tuple:
-    if params.qmode is SYMBOLIC:
-        return _second_rows_integer(params, nmax, shift)
-    return _second_rows_recurrence(params, nmax, shift)
+    build = _rows_integer if params.qmode is SYMBOLIC else _rows_recurrence
+    return build("second", params, nmax, shift)
+
+
+# Each kind's two-term recurrence, as (sign, j, a, c) in
+# T(n+1,k) = q^c(n) (q^a(k) T(n,k-1) + sign weight(s + j(n,k)) T(n,k)).
+_STEPS = {
+    "first": (-1, lambda n, k: n, lambda k: 0, lambda n: -n),
+    "second": (1, lambda n, k: k, lambda k: k - 1, lambda n: 0),
+}
 
 
 # -- integer-row kernel (symbolic q) -------------------------------------------
 #
 # Both kinds are homogeneous of degree n - k in the weights m[i]_q + r, so
-# with d = lcm(den m, den r), M = d m and R = d r the scaled entries
+# with d = lcm(den m, den r), M = d m, R = d r and C(n) = c(0) + ... + c(n-1)
+# the scaled entries U(n,k) = q^-C(n) d^(n-k) T(n,k) are polynomials in q with
+# integer coefficients, satisfying
 #
-#     U(n,k) = q^C(n,2) d^(n-k) w(n,k)      V(n,k) = d^(n-k) W(n,k)
-#
-# are polynomials in q with integer coefficients, satisfying
-#
-#     U(n+1,k) = U(n,k-1) - (M[s+n]_q + R) U(n,k)
-#     V(n+1,k) = q^(k-1) V(n,k-1) + (M[s+k]_q + R) V(n,k).
+#     U(n+1,k) = q^a(k) U(n,k-1) + sign (M[s+j(n,k)]_q + R) U(n,k).
 #
 # Cells are dense int lists indexed by exponent from 0; one step computes each
 # cell k = 0..n+1, a missing neighbour k-1 or k being the empty list (zero).
 # Each finished row is handed to LaurentPoly at once, as int numerators over
-# d^(n-k); only the previous integer row is kept.
-
-
-def _cleared(params: WhitneyParams) -> tuple[int, int, int]:
-    """(d, d m, d r) with d the least common denominator of m and r."""
-    m, r = params.m, params.r
-    d = lcm(m.denominator, r.denominator)
-    return d, m.numerator * (d // m.denominator), r.numerator * (d // r.denominator)
+# d^(n-k) from valuation C(n); only the previous integer row is kept.
 
 
 def _times_weight(poly: list, j: int, big_m: int, big_r: int) -> list:
@@ -145,7 +141,7 @@ def _times_weight(poly: list, j: int, big_m: int, big_r: int) -> list:
     return [big_m * (hi - lo) + big_r * c for hi, lo, c in zip(prefix[j:], prefix, padded)]
 
 
-def _combine(a: list, b: list, sign: int, offset: int = 0) -> list:
+def _combine(a: list, b: list, sign: int, offset: int) -> list:
     """q^offset * a + sign * b on dense int lists, without trailing zeros.
 
     The trim keeps rows from growing by zeros, as `_times_weight` pads at M = 0.
@@ -160,74 +156,59 @@ def _combine(a: list, b: list, sign: int, offset: int = 0) -> list:
     return out
 
 
-def _first_rows_integer(params: WhitneyParams, nmax: int, shift: int) -> tuple:
-    d, big_m, big_r = _cleared(params)
+def _rows_integer(kind: str, params: WhitneyParams, nmax: int, shift: int) -> tuple:
+    sign, j, a, c = _STEPS[kind]
+    m, r = params.m, params.r
+    d = lcm(m.denominator, r.denominator)
+    big_m, big_r = m.numerator * (d // m.denominator), r.numerator * (d // r.denominator)
     dpow = [d**e for e in range(nmax + 1)]
     ints = [[1]]
     rows = [(LaurentPoly(0, (1,)),)]
+    val = 0
     for n in range(nmax):
-        j = shift + n
-        ints = [_combine(a, _times_weight(b, j, big_m, big_r), -1)
-                for a, b in zip([[]] + ints, ints + [[]])]
-        val = -comb(n + 1, 2)
+        ints = [_combine(diag, _times_weight(above, shift + j(n, k), big_m, big_r), sign, a(k))
+                for k, (diag, above) in enumerate(zip([[]] + ints, ints + [[]]))]
+        val += c(n)
         rows.append(tuple(LaurentPoly._from_ints(val, ints[k], dpow[n + 1 - k])
                           for k in range(n + 2)))
     return tuple(rows)
 
 
-def _second_rows_integer(params: WhitneyParams, nmax: int, shift: int) -> tuple:
-    d, big_m, big_r = _cleared(params)
-    dpow = [d**e for e in range(nmax + 1)]
-    ints = [[1]]
-    rows = [(LaurentPoly(0, (1,)),)]
-    for n in range(nmax):
-        ints = [_combine(a, _times_weight(b, shift + k, big_m, big_r), 1, k - 1)
-                for k, (a, b) in enumerate(zip([[]] + ints, ints + [[]]))]
-        rows.append(tuple(LaurentPoly._from_ints(0, ints[k], dpow[n + 1 - k])
-                          for k in range(n + 2)))
-    return tuple(rows)
+# -- scalar recurrence (rational and float q; the reference for the kernel) ----
 
 
-# -- generic recurrence (every mode; the reference for the integer kernel) ----
-
-
-def _first_rows_recurrence(params: WhitneyParams, nmax: int, shift: int) -> tuple:
+def _rows_recurrence(kind: str, params: WhitneyParams, nmax: int, shift: int) -> tuple:
+    sign, j, a, c = _STEPS[kind]
+    op = add if sign > 0 else sub
     mode = params.qmode
+    weights = [params.weight(shift + i) for i in range(nmax)]
+    qa = [mode.q_power(a(k)) if a(k) else None for k in range(nmax + 1)]  # None: q^0, no product
     rows = [(mode.q_power(0),)]
     for n in range(nmax):
         prev = rows[n]
-        wn = params.weight(shift + n)
-        qn = mode.q_power(-n)
-        rows.append((qn * -(wn * prev[0]),
-                     *[qn * (a - wn * b) for a, b in zip(prev, prev[1:])],
-                     qn * prev[n]))
-    return tuple(rows)
-
-
-def _second_rows_recurrence(params: WhitneyParams, nmax: int, shift: int) -> tuple:
-    mode = params.qmode
-    weights = [params.weight(shift + k) for k in range(nmax)]
-    qpow = [mode.q_power(k) for k in range(nmax)]
-    rows = [(mode.q_power(0),)]
-    for n in range(nmax):
-        prev = rows[n]
-        rows.append((weights[0] * prev[0],
-                     *[qk * a + wk * b for qk, a, wk, b in zip(qpow, prev, weights[1:], prev[1:])],
-                     qpow[n] * prev[n]))
+        edge = weights[j(n, 0)] * prev[0]
+        row = [edge if sign > 0 else -edge]
+        for k in range(1, n + 2):
+            left = prev[k - 1] if qa[k] is None else qa[k] * prev[k - 1]
+            row.append(op(left, weights[j(n, k)] * prev[k]) if k <= n else left)
+        if c(n):
+            qc = mode.q_power(c(n))
+            row = [qc * x for x in row]
+        rows.append(tuple(row))
     return tuple(rows)
 
 
 def whitney_first_triangle(params: WhitneyParams, nmax: int, shift: int = 0) -> Triangle:
     """First kind via w(n+1,k) = q^-n (w(n,k-1) - (m[n]_q + r) w(n,k))."""
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
+    if nmax < 0 or shift < 0:
+        raise ValueError("nmax and shift must be >= 0")
     return Triangle("first", params, nmax, _first_rows(params, nmax, shift))
 
 
 def whitney_second_triangle(params: WhitneyParams, nmax: int, shift: int = 0) -> Triangle:
     """Second kind via W(n+1,k) = q^(k-1) W(n,k-1) + (m[k]_q + r) W(n,k)."""
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
+    if nmax < 0 or shift < 0:
+        raise ValueError("nmax and shift must be >= 0")
     return Triangle("second", params, nmax, _second_rows(params, nmax, shift))
 
 

@@ -1,8 +1,9 @@
-"""Planted faults in the shared Laurent kernels must make `verify` fail.
+"""Planted faults in the shared kernels must make `verify` fail.
 
-Each mutant is one line of a kernel changed in its own source and bound in
-place with monkeypatch.  A test checks that the mutant changes a value, then
-that `verify --suite all` at symbolic q exits 1.  The triangle and
+Each mutant is one line of a kernel changed in its own source, or one field
+of the Whitney step table, bound in place with monkeypatch.  A test checks
+that the mutant changes a value, then that `verify --suite all` exits 1 in
+the mode whose path the mutant sits on.  The triangle and
 q-polynomial caches are cleared around each test, so no value built under a
 mutant outlives it.
 """
@@ -14,9 +15,11 @@ import pytest
 
 from qwhitney import cli, laurent, qcore, whitney
 from qwhitney.laurent import LaurentPoly, q_monomial
-from qwhitney.modes import SYMBOLIC
+from qwhitney.modes import SYMBOLIC, RationalQ
+from qwhitney.whitney import WhitneyParams
 
 VERIFY = ["verify", "--suite", "all", "--nmax", "4", "--q", "symbolic"]
+VERIFY_HALF = ["verify", "--suite", "all", "--nmax", "6", "--q", "1/2"]
 
 
 @pytest.fixture(autouse=True)
@@ -40,10 +43,16 @@ def _mutant(func, old: str, new: str):
     return namespace[func.__name__]
 
 
-def _verify_exit(capsys) -> int:
-    code = cli.main(VERIFY)
+def _verify_exit(capsys, argv=VERIFY) -> int:
+    code = cli.main(argv)
     capsys.readouterr()
     return code
+
+
+def _rows(kind: str, mode) -> tuple:
+    """Uncached rows 0..5 of one kind at (m, r) = (3/2, 5/2), shift 1."""
+    build = whitney._first_rows if kind == "first" else whitney._second_rows
+    return build.__wrapped__(WhitneyParams(Fraction(3, 2), Fraction(5, 2), mode), 5, 1)
 
 
 def test_unaligned_denominators_in_the_fused_sum(monkeypatch, capsys):
@@ -63,3 +72,45 @@ def test_convolution_dropping_its_last_coefficient(monkeypatch, capsys):
     monkeypatch.setattr(laurent, "_convolve", mutant)
     assert qcore.q_integer(2) * qcore.q_integer(2) != expected
     assert _verify_exit(capsys) == 1
+
+
+#: One field of a kind's (sign, j, a, c) step replaced: name -> (kind, field index, fault).
+STEP_FAULTS = {
+    "first sign": ("first", 0, 1),
+    "first weight index": ("first", 1, lambda n, k: k),
+    "first row power": ("first", 3, lambda n: 1 - n),
+    "second sign": ("second", 0, -1),
+    "second weight index": ("second", 1, lambda n, k: n),
+    "second diagonal power": ("second", 2, lambda k: k),
+}
+
+
+@pytest.mark.parametrize("name", list(STEP_FAULTS))
+def test_step_table_fault(monkeypatch, capsys, name):
+    kind, field, fault = STEP_FAULTS[name]
+    modes = (SYMBOLIC, RationalQ(Fraction(1, 2)))
+    before = [_rows(kind, mode) for mode in modes]
+    step = list(whitney._STEPS[kind])
+    step[field] = fault
+    monkeypatch.setitem(whitney._STEPS, kind, tuple(step))
+    after = [_rows(kind, mode) for mode in modes]
+    assert after[0] != before[0] and after[1] != before[1]
+    assert _verify_exit(capsys) == 1
+    assert _verify_exit(capsys, VERIFY_HALF) == 1
+
+
+def test_integer_kernel_weight_index_off_by_one(monkeypatch, capsys):
+    mutant = _mutant(whitney._rows_integer, "shift + j(n, k)", "shift + j(n, k) + 1")
+    before = _rows("second", SYMBOLIC)
+    monkeypatch.setattr(whitney, "_rows_integer", mutant)
+    assert _rows("second", SYMBOLIC) != before
+    assert _verify_exit(capsys) == 1
+
+
+def test_scalar_recurrence_doubling_the_diagonal(monkeypatch, capsys):
+    mutant = _mutant(whitney._rows_recurrence, "if k <= n else left", "if k <= n else 2 * left")
+    mode = RationalQ(Fraction(1, 2))
+    before = _rows("first", mode)
+    monkeypatch.setattr(whitney, "_rows_recurrence", mutant)
+    assert _rows("first", mode) != before
+    assert _verify_exit(capsys, VERIFY_HALF) == 1

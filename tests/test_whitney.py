@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 from fractions import Fraction
 from math import comb
@@ -247,15 +248,15 @@ def _exact_form(cell):
 @pytest.mark.parametrize("kind", ["first", "second"])
 @pytest.mark.parametrize("m,r", KERNEL_PARAMS)
 def test_symbolic_kernel_matches_generic_recurrence(kind, m, r):
-    # Symbolic triangles come from the integer-row kernel; the generic
-    # recurrence, run on Laurent polynomials, is the reference.
+    # Both builders read the same step table, so this checks how the integer
+    # kernel represents the rows: denominators cleared, q^-C(n) taken out and
+    # put back, trailing zeros trimmed.  The recurrence coefficients are
+    # checked by the closed forms, the tableau sums and `verify`.
     params = WhitneyParams(m, r)
     build = whitney_first_triangle if kind == "first" else whitney_second_triangle
-    reference = (whitney._first_rows_recurrence if kind == "first"
-                 else whitney._second_rows_recurrence)
     for shift, nmax in ((0, 12), (1, 9), (2, 7), (3, 12)):
         rows = build(params, nmax, shift=shift).rows
-        expect = reference(params, nmax, shift)
+        expect = whitney._rows_recurrence(kind, params, nmax, shift)
         assert rows == expect
         for n in range(nmax + 1):
             assert len(rows[n]) == n + 1
@@ -263,9 +264,9 @@ def test_symbolic_kernel_matches_generic_recurrence(kind, m, r):
                 assert _exact_form(rows[n][k]) == _exact_form(expect[n][k]), (shift, n, k)
 
 
-@pytest.mark.parametrize("kernel", [whitney._first_rows_integer, whitney._second_rows_integer])
+@pytest.mark.parametrize("kind", ["first", "second"])
 @pytest.mark.parametrize("r", [Fraction(5, 2), Fraction(0)])
-def test_integer_kernel_keeps_no_trailing_zeros_at_zero_m(monkeypatch, kernel, r):
+def test_integer_kernel_keeps_no_trailing_zeros_at_zero_m(monkeypatch, kind, r):
     # At M = 0 the weight is the constant R, but `_times_weight` still pads its
     # product by j - 1 zeros; the kept rows must not carry them forward.
     kept = []
@@ -277,9 +278,43 @@ def test_integer_kernel_keeps_no_trailing_zeros_at_zero_m(monkeypatch, kernel, r
 
     monkeypatch.setattr(whitney, "_combine", recording)
     for shift in (0, 3):
-        kernel(WhitneyParams(Fraction(0), r), 12, shift)
+        whitney._rows_integer(kind, WhitneyParams(Fraction(0), r), 12, shift)
     assert kept
     assert not [cell for cell in kept if cell and not cell[-1]]
+
+
+@pytest.mark.parametrize("mode", [SYMBOLIC, RationalQ(Fraction(1, 2)), FloatQ(0.5)],
+                         ids=["symbolic", "rational", "float"])
+@pytest.mark.parametrize("build", [whitney_first_triangle, whitney_second_triangle])
+@pytest.mark.parametrize("shift", [-1, -3])
+def test_negative_shift_is_rejected(mode, build, shift):
+    # A shifted family's weights are weight(s + i); [s + i]_q with s + i < 0
+    # has negative exponents, which the integer kernel cannot hold, so every
+    # mode refuses them rather than return numbers that are wrong somewhere.
+    with pytest.raises(ValueError, match="shift"):
+        build(WhitneyParams(Fraction(3, 2), Fraction(5, 2), mode), 5, shift=shift)
+
+
+#: sha256 of the repr of every cell, joined by newlines, over FLOAT_PIN_POINTS
+#: and shifts 0 then 2 at nmax 12; recorded before the two kinds shared one
+#: step table.  repr keeps the signed zeros of the first kind at r = 0.
+FLOAT_PIN_POINTS = [(Fraction(3, 2), Fraction(5, 2)), (Fraction(1), Fraction(0)),
+                    (Fraction(-3, 2), Fraction(-1))]
+FLOAT_TRIANGLE_SHA256 = {
+    (0.5, "first"): "7e4e944c1b2f12eb2504ee5ba024e7da5557b0c81e830a26868b3318c12f3271",
+    (0.5, "second"): "bba4e5c84789b22406c48215c39259313ee04bb97b2d25bdf298691078a79141",
+    (-0.7, "first"): "63e8362fc7d209ec250469f31dc4b9cf3bdbb687b99b1a72578bcbe94f060e57",
+    (-0.7, "second"): "d8262e8120ca83ddcc973d1c21ff7ce36412ed198f6ee7cf98187a777eb57c81",
+}
+
+
+@pytest.mark.parametrize("q,kind", sorted(FLOAT_TRIANGLE_SHA256))
+def test_float_triangles_are_pinned_bit_for_bit(q, kind):
+    build = whitney_first_triangle if kind == "first" else whitney_second_triangle
+    text = "\n".join(repr(cell) for m, r in FLOAT_PIN_POINTS for shift in (0, 2)
+                     for row in build(WhitneyParams(m, r, FloatQ(q)), 12, shift).rows
+                     for cell in row)
+    assert hashlib.sha256(text.encode()).hexdigest() == FLOAT_TRIANGLE_SHA256[q, kind]
 
 
 def classical_stirling_second(n, k):
