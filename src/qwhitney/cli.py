@@ -18,6 +18,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import inf
 from operator import itemgetter
@@ -72,6 +73,19 @@ def _qmode_text(text: str) -> str:
     if text.strip() != "symbolic":
         _rational(text)
     return text
+
+
+@contextmanager
+def _unlimited_int_text():
+    """Lift the interpreter's cap on int <-> decimal text conversion, then restore it."""
+    old = getattr(sys, "get_int_max_str_digits", int)()  # 0: no cap, or none to lift
+    if old:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old:
+            sys.set_int_max_str_digits(old)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,10 +160,11 @@ def render_table_csv(doc: dict) -> str:
 def parse_table_document(text: str) -> dict:
     """Parse a JSON table back; adds parsed scalars under 'parsed_values'."""
     doc = json.loads(text)
-    mode = SYMBOLIC if doc["qmode"] == "symbolic" else parse_qmode(str(doc["q0"]))
-    doc["parsed_values"] = {
-        (cell["n"], cell["k"]): parse_scalar(cell["value"], mode) for cell in doc["rows"]
-    }
+    with _unlimited_int_text():
+        mode = SYMBOLIC if doc["qmode"] == "symbolic" else parse_qmode(str(doc["q0"]))
+        doc["parsed_values"] = {
+            (cell["n"], cell["k"]): parse_scalar(cell["value"], mode) for cell in doc["rows"]
+        }
     return doc
 
 
@@ -292,15 +307,17 @@ def run_hankel(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = parser.parse_args(_attach_negative_values(argv))
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
-        return args.func(args)
-    except (QWhitneyError, ValueError, ZeroDivisionError, OSError) as exc:
-        print(f"qwhitney: {exc}", file=sys.stderr)
-        return 2
+    # Exact values have no size limit, in the arguments or in the output.
+    with _unlimited_int_text():
+        try:
+            args = parser.parse_args(_attach_negative_values(argv))
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
+        try:
+            return args.func(args)
+        except (QWhitneyError, ValueError, ZeroDivisionError, OSError) as exc:
+            print(f"qwhitney: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -8,15 +8,15 @@ gcd(den, *nums) == 1; the zero polynomial is (0, (), 1).  Being canonical,
 equality is a tuple comparison.
 
 The ring operations run on ints alone (content and primitive part, Knuth,
-TAOCP vol. 2, section 4.6.1), one variadic gcd restoring the form: `*` is
-one int convolution over den * den, and `sum_of_products` adds products of
-factors over their common denominator, one gcd per sum.  `+` and `-` are
-that fused sum over two terms: a + b over (a,) and (b,), a - b over (a,)
-and (-1, b).  Division and negative powers go through `exact_div` (p ** -n
-is 1 exact_div p ** n); `==` and `/` take an int or Fraction via `_coerce`.
-`coeffs` is derived on demand for readers that want rational coefficients:
-`int` where a coefficient is integral, a reduced `fractions.Fraction`
-otherwise.  All operations are pure.
+TAOCP vol. 2, section 4.6.1), and each is one fused sum: `sum_of_products`
+adds int products of factors over their common denominator, and one
+variadic gcd restores the form.  a + b sums the terms (a,) and (b,), a - b
+the terms (a,) and (-1, b), a * b the one term (a, b), -a the term (-1, a).
+Division and negative powers go through `exact_div` (p ** -n is 1 exact_div
+p ** n); `==` and `/` take an int or Fraction via `_coerce`.  `coeffs` is
+derived on demand for readers that want rational coefficients: `int` where a
+coefficient is integral, a reduced `fractions.Fraction` otherwise.  All
+operations are pure.
 
 The canonical text form lists terms by ascending exponent as
 ``<num>/<den>*q^<exp>`` joined by `` + ``, omitting ``/<den>`` when the
@@ -141,9 +141,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        if not self.nums:
-            return self
-        return _store(_new(LaurentPoly), self.val, tuple([-c for c in self.nums]), self.den)
+        return sum_of_products(((-1, self),))
 
     def __sub__(self, other):
         if not isinstance(other, (LaurentPoly, int, Fraction)):
@@ -156,19 +154,9 @@ class LaurentPoly:
         return sum_of_products(((other,), (-1, self)))
 
     def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            a, b = self.nums, other.nums
-            if not a or not b:
-                return ZERO
-            return _fill(_new(LaurentPoly), self.val + other.val, _convolve(a, b),
-                         self.den * other.den)
-        if isinstance(other, (int, Fraction)):
-            if not other or not self.nums:
-                return ZERO
-            num = other.numerator
-            return _fill(_new(LaurentPoly), self.val, [c * num for c in self.nums],
-                         self.den * other.denominator)
-        return NotImplemented
+        if not isinstance(other, (LaurentPoly, int, Fraction)):
+            return NotImplemented
+        return sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -277,31 +265,24 @@ _set_nums = LaurentPoly.nums.__set__
 _set_den = LaurentPoly.den.__set__
 
 
-def _store(p: LaurentPoly, val: int, nums: tuple, den: int) -> LaurentPoly:
-    """Write fields that are already in primitive form."""
-    _set_val(p, val)
-    _set_nums(p, nums)
-    _set_den(p, den)
-    return p
-
-
-def _fill(p: LaurentPoly, val: int, nums: list, den: int) -> LaurentPoly:
+def _fill(p: LaurentPoly, val: int, nums: list | tuple, den: int) -> LaurentPoly:
     """Store nums / den * q^val in p in primitive form; den > 0."""
     lo, hi = 0, len(nums)
     while lo < hi and not nums[lo]:
         lo += 1
     while lo < hi and not nums[hi - 1]:
         hi -= 1
-    if lo == hi:
-        return _store(p, 0, (), 1)
     if lo or hi < len(nums):
         nums = nums[lo:hi]
     if den != 1:
-        g = gcd(den, *nums)
+        g = gcd(den, *nums)  # den itself when nums is empty, so zero gets den 1
         if g != 1:
             den //= g
             nums = [c // g for c in nums]
-    return _store(p, val + lo, tuple(nums), den)
+    _set_val(p, val + lo if nums else 0)
+    _set_nums(p, tuple(nums))
+    _set_den(p, den)
+    return p
 
 
 def _convolve(a, b) -> list:
@@ -325,9 +306,9 @@ def sum_of_products(terms: Iterable[tuple]) -> LaurentPoly:
     A factor is a LaurentPoly, an int or a Fraction.  Each product is an int
     convolution over the product of the factors' denominators, left
     unreduced; a term with a zero factor is skipped.  The products are added
-    into one dense int list over their least common denominator, and one
-    `_fill` restores the primitive form, where chained `+` and `*` would
-    reduce after every operation.
+    into one dense int list over their least common denominator (a lone
+    product goes straight on), and one `_fill` restores the primitive form,
+    where a chain of ring operations would reduce after every one.
     """
     parts = []
     lo = hi = None
@@ -362,8 +343,8 @@ def sum_of_products(terms: Iterable[tuple]) -> LaurentPoly:
                 lo = val
             if top > hi:
                 hi = top
-    if not parts:
-        return ZERO
+    if len(parts) < 2:
+        return _fill(_new(LaurentPoly), *parts[0]) if parts else ZERO
     out = [0] * (hi - lo)
     for val, nums, d in parts:
         off = val - lo

@@ -277,24 +277,16 @@ def series_moment(spec: QDistSpec, m: float, r: float, n: int,
         total = 0.0
         fact = 1.0
         quiet = 0
-        ell = 0
-        while True:
+        for ell in range(n + 1 if upper == "truncated" else TERM_CAP + 1):
             term = lam**ell / fact * (m * q_int_at(ell, q) + r) ** n
             total += term
-            if upper == "truncated":
-                if ell == n:
-                    return norm * total
-            else:
-                if abs(term) < SERIES_TOL * max(abs(total), 1e-300):
-                    quiet += 1
-                    if quiet >= 10:
-                        return norm * total
-                else:
-                    quiet = 0
-                if ell >= TERM_CAP:
-                    raise NonConvergenceError("euler moment series did not settle")
-            ell += 1
-            fact *= q_int_at(ell, q)
+            quiet = quiet + 1 if abs(term) < SERIES_TOL * max(abs(total), 1e-300) else 0
+            if quiet >= 10 and upper == "extended":
+                return norm * total
+            fact *= q_int_at(ell + 1, q)
+        if upper == "truncated":
+            return norm * total
+        raise NonConvergenceError("euler moment series did not settle")
 
     facts = q_int_products(range(1, n + 1), FloatQ(q))
     products = _heine_products(spec, 2 * n)

@@ -110,6 +110,51 @@ def test_table_out_file(tmp_path, capsys):
     assert doc["nmax"] == 1
 
 
+#: At q = 1/3**2800 the second-kind cells at nmax 4 run to 9,354 digits, past
+#: the interpreter's default cap of 4,300 on int <-> decimal text conversion.
+TINY_Q = Fraction(1, 3**2800)
+TINY_ARGS = ("--nmax", "4", "--m", "1", "--r", "0", "--q", str(TINY_Q))
+
+
+def test_table_prints_and_parses_values_past_the_int_digit_cap(capsys):
+    code, out, _ = run(capsys, "table", "--kind", "second", *TINY_ARGS)
+    assert code == 0
+    doc = parse_table_document(out)
+    assert max(len(cell["value"]) for cell in doc["rows"]) > 4300
+    tri = whitney_second_triangle(WhitneyParams(1, 0, RationalQ(TINY_Q)), 4)
+    assert all(value == tri.value(n, k) for (n, k), value in doc["parsed_values"].items())
+    code, csv, _ = run(capsys, "table", "--kind", "second", *TINY_ARGS, "--format", "csv")
+    assert (code, csv) == (0, render_table_csv(doc))
+
+
+def test_verify_reports_values_past_the_int_digit_cap(tmp_path, capsys):
+    report = tmp_path / "reports.jsonl"
+    code, out, _ = run(capsys, "verify", "--suite", "boundary", "--nmax", "4",
+                       "--q", str(TINY_Q), "--report", str(report))
+    assert (code, out) == (0, "boundary\t180\t0\nPASS\t180\t0\n")
+    lines = report.read_text().splitlines()
+    assert len(lines) == 180 and max(map(len, lines)) > 4300
+
+
+def test_a_q_past_the_int_digit_cap_is_a_rational(capsys):
+    q = "1/1" + "0" * 4400  # a 4,401-digit denominator
+    code, out, _ = run(capsys, "table", "--kind", "first", "--nmax", "1",
+                       "--m", "1", "--r", "0", "--q", q, "--format", "csv")
+    assert (code, out) == (0, "1\n0,1\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["table", "--kind", "first", "--nmax", "1", "--m", "1", "--r", "0", "--q", "1/2"], 0),
+    (["table", "--kind", "first", "--nmax", "-1", "--m", "1", "--r", "0", "--q", "1/2"], 2),
+    (["table", "--kind", "first"], 2),
+])
+def test_main_restores_the_int_digit_cap(capsys, argv, expected):
+    cap = getattr(sys, "get_int_max_str_digits", int)
+    before = cap()
+    assert run(capsys, *argv)[0] == expected
+    assert cap() == before
+
+
 def test_verify_boundary_trivial(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "boundary", "--nmax", "0")
     assert code == 0

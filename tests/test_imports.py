@@ -2,7 +2,8 @@
 
 Each module uses only the public names of the other package modules, and
 the pmf walk's mass floor, the series tolerance, the series term cap and
-the Laurent division-by-zero error are each written in one place.
+the Laurent division-by-zero error are each written in one place, as are
+the Laurent convolution and normal form.
 """
 
 import ast
@@ -73,3 +74,27 @@ def test_the_term_cap_is_written_in_one_module():
 def test_laurent_division_by_zero_is_raised_in_one_place():
     texts = [path.read_text(encoding="utf-8") for path in SOURCES]
     assert sum(text.count("Laurent division by zero") for text in texts) == 1
+
+
+def _callers(path: pathlib.Path, name: str) -> list[str]:
+    """Sorted names of the innermost functions in path that call name ("" at module level)."""
+    callers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == name):
+                callers.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return sorted(callers)
+
+
+def test_every_laurent_ring_result_is_normalised_in_one_place():
+    laurent = PACKAGE / "laurent.py"
+    assert _callers(laurent, "_convolve") == ["sum_of_products"]
+    assert _callers(laurent, "_fill") == ["__init__", "_from_ints", "sum_of_products"]

@@ -1,11 +1,12 @@
-"""Planted faults in the shared kernels must make `verify` fail.
+"""Planted faults in the shared kernels must make `verify` or `dist --op moments` fail.
 
 Each mutant is one line of a kernel changed in its own source, or one field
 of the Whitney step table, bound in place with monkeypatch.  A test checks
 that the mutant changes a value, then that `verify --suite all` exits 1 in
-the mode whose path the mutant sits on.  The triangle and
-q-polynomial caches are cleared around each test, so no value built under a
-mutant outlives it.
+the mode whose path the mutant sits on, or, for the q-distribution layer,
+that `dist --op moments` exits 1 for the family it touches.  The triangle
+and q-polynomial caches are cleared around each test, so no value built
+under a mutant outlives it.
 """
 
 import inspect
@@ -13,9 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from qwhitney import cli, laurent, qcore, whitney
+from qwhitney import cli, laurent, qcore, qdist, whitney
 from qwhitney.laurent import LaurentPoly, q_monomial
 from qwhitney.modes import SYMBOLIC, RationalQ
+from qwhitney.qdist import QDistSpec
 from qwhitney.whitney import WhitneyParams
 
 VERIFY = ["verify", "--suite", "all", "--nmax", "4", "--q", "symbolic"]
@@ -62,6 +64,18 @@ def test_unaligned_denominators_in_the_fused_sum(monkeypatch, capsys):
     monkeypatch.setattr(laurent, "sum_of_products", mutant)
     monkeypatch.setattr(type(SYMBOLIC), "sum_of_products", staticmethod(mutant))
     assert q_monomial(1, Fraction(1, 2)) + Fraction(1, 3) != expected
+    assert _verify_exit(capsys) == 1
+
+
+@pytest.mark.parametrize("fault", ["*parts[0][:2], 1)", "0, *parts[0][1:])"],
+                         ids=["denominator", "valuation"])
+def test_one_part_sum_dropping_a_field(monkeypatch, capsys, fault):
+    mutant = _mutant(laurent.sum_of_products, "*parts[0])", fault)
+    expected = LaurentPoly(1, (Fraction(-1, 2),))
+    assert -q_monomial(1, Fraction(1, 2)) == expected
+    monkeypatch.setattr(laurent, "sum_of_products", mutant)
+    monkeypatch.setattr(type(SYMBOLIC), "sum_of_products", staticmethod(mutant))
+    assert -q_monomial(1, Fraction(1, 2)) != expected
     assert _verify_exit(capsys) == 1
 
 
@@ -114,3 +128,49 @@ def test_scalar_recurrence_doubling_the_diagonal(monkeypatch, capsys):
     monkeypatch.setattr(whitney, "_rows_recurrence", mutant)
     assert _rows("first", mode) != before
     assert _verify_exit(capsys, VERIFY_HALF) == 1
+
+
+HEINE = QDistSpec("heine", 0.5, 0.7)
+EULER = QDistSpec("euler", 0.5, 0.4)
+
+#: A fault in the q-distribution layer: name -> (function, old text, new text,
+#: a value it changes, the family whose `dist --op moments` must catch it).  The
+#: mutant replaces the function in `qcore` and `qdist`, wherever it is bound.
+DIST_FAULTS = {
+    "heine pmf step power": (qdist._pmf_stream, "spec.q ** (x - 1)", "spec.q ** x",
+                             lambda: qdist.pmf(HEINE, 3), HEINE),
+    "pmf step q-integer": (qdist._pmf_stream, "q_int_at(x, spec.q)", "q_int_at(x + 1, spec.q)",
+                           lambda: qdist.pmf(EULER, 3), EULER),
+    "heine normalizer": (qdist._normalizer, "q_exp_hat(spec.lam", "q_exp(spec.lam",
+                         lambda: qdist.pmf(HEINE, 3), HEINE),
+    "euler normalizer": (qdist._normalizer, "1.0 / q_exp(spec.lam", "1.0 / q_exp_hat(spec.lam",
+                         lambda: qdist.pmf(EULER, 3), EULER),
+    "heine closed form": (qdist.q_factorial_moment, "comb(order, 2)", "comb(order + 1, 2)",
+                          lambda: qdist.q_factorial_moment(HEINE, 3), HEINE),
+    "euler closed form": (qdist.q_factorial_moment, "return spec.lam**order",
+                          "return spec.lam**order * (2 if order == 3 else 1)",
+                          lambda: qdist.q_factorial_moment(EULER, 3), EULER),
+    "heine products": (qdist._heine_products, "q ** (i - 1)", "q ** i",
+                       lambda: qdist.q_factorial_moment(HEINE, 3), HEINE),
+    # `verify --q 1/2` misses this one: its identities hold for any weights
+    # m u_i + r, and its defining relations stop short of [7]_q.
+    "q-integer at 7": (qcore.q_int_at, "(1 - q0**n) / (1 - q0)",
+                       "(1 - q0**n) / (1 - q0) + (n == 7)",
+                       lambda: qdist.q_int_at(7, 0.5), EULER),
+}
+
+
+@pytest.mark.parametrize("name", list(DIST_FAULTS))
+def test_q_distribution_fault(monkeypatch, capsys, name):
+    func, old, new, value, spec = DIST_FAULTS[name]
+    mutant = _mutant(func, old, new)
+    before = value()
+    for module in (qcore, qdist):
+        if vars(module).get(func.__name__) is func:
+            monkeypatch.setattr(module, func.__name__, mutant)
+    assert value() != before
+    code = cli.main(["dist", "--family", spec.family, "--q", str(spec.q),
+                     "--lambda", str(spec.lam), "--op", "moments", "--n", "12",
+                     "--m", "3/2", "--r", "5/2"])
+    capsys.readouterr()
+    assert code == 1

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from bisect import bisect_right
@@ -240,6 +241,21 @@ def test_series_moment_heine_truncated_differs():
     truncated = series_moment(spec, 1.0, 0.0, 2, upper="truncated")
     oracle = direct_moment_oracle(spec, lambda x: _qint(x, 0.5) ** 2)
     assert abs(truncated - oracle) > 1e-3 * max(1.0, abs(oracle))
+
+
+#: sha256 of the `.hex()` of every series_moment below, one per line, recorded
+#: before the Euler branch became one bounded loop: every value stays bit for bit.
+SERIES_MOMENT_DIGEST = "402e9244434e347b4f49549149067c2ca7a0864d56a20637742b03ade1bb57be"
+
+
+def test_series_moment_values_are_pinned_bit_for_bit():
+    specs = [QDistSpec("heine", q, lam) for q, lam in ((0.5, 0.7), (0.3, 0.9), (0.9, 2.0))] + \
+            [QDistSpec("euler", q, lam) for q, lam in ((0.5, 0.4), (0.3, 0.8), (0.6, 1.5),
+                                                        (0.9, 5.0))]
+    points = ((1.0, 0.0), (2.0, 1.0), (1.5, 2.5), (-0.5, 3.0), (0.0, 1.0))
+    text = "\n".join(series_moment(spec, m, r, n, upper).hex() for spec in specs
+                     for m, r in points for n in range(9) for upper in ("extended", "truncated"))
+    assert hashlib.sha256(text.encode()).hexdigest() == SERIES_MOMENT_DIGEST
 
 
 def test_series_moment_rejects_bad_upper():
