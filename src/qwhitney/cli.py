@@ -224,6 +224,7 @@ def run_verify(args) -> int:
 
     failures = 0
     checked = 0
+    first = None  # the first failing report, in count-table order
     stream = open(args.report, "w", encoding="utf-8") if args.report else None
     try:
         for identity in identities:
@@ -231,6 +232,8 @@ def run_verify(args) -> int:
             for params in points:
                 reports.extend(verify(identity, params, args.nmax))
             bad = sum(not rep.passed for rep in reports)
+            if bad and first is None:
+                first = next(rep for rep in reports if not rep.passed)
             checked += len(reports)
             failures += bad
             print(f"{identity.value}\t{len(reports)}\t{bad}")
@@ -243,6 +246,9 @@ def run_verify(args) -> int:
         if stream is not None:
             stream.close()
     print(f"{'PASS' if failures == 0 else 'FAIL'}\t{checked}\t{failures}")
+    if first is not None:
+        print(f"qwhitney: first failure: {first.identity} at {json.dumps(first.point)}: "
+              f"lhs - rhs = {canonical_text(first.lhs - first.rhs)}", file=sys.stderr)
     return 0 if failures == 0 else 1
 
 

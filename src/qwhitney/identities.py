@@ -1,9 +1,10 @@
 """Catalogue of checkable identities, plus binomial and Hankel transforms.
 
 Every identity in the catalogue compares a left side against an independently
-computed right side at explicit index/parameter points and returns one
-IdentityReport per point.  In exact modes (symbolic or rational q) a pass is
-exact equality; in float mode it is a relative comparison.
+computed right side at explicit index/parameter points.  A new identity is a
+generator cells(params, nmax) that yields one (indices, lhs, rhs) per check,
+indices being a dict such as {"n": n, "k": k}; `_checker` turns its stream into
+one IdentityReport per check, each built and judged by `report.checked`.
 
 The convolution identities internally use shifted parameter families: the
 summand triangles belong to (m q^s, m [s]_q + r) for a shift s derived from
@@ -24,10 +25,10 @@ from .errors import (
     InsufficientSequenceError,
     UnknownIdentityError,
 )
-from .modes import RationalQ, Scalar, divide_exact, values_equal
+from .modes import RationalQ, Scalar, divide_exact
 from .qcore import powers
 from .record import Record
-from .report import IdentityReport
+from .report import IdentityReport, checked
 from .whitney import (
     WhitneyParams,
     defining_first,
@@ -79,10 +80,14 @@ PRIVAULT_X_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fra
 DEFAULT_NMAX_CEILING = 12
 
 
-def _rep(identity: IdentityId, params: WhitneyParams, indices: dict,
-         lhs: Scalar, rhs: Scalar) -> IdentityReport:
-    return IdentityReport(identity.value, params.point(**indices), lhs, rhs,
-                          values_equal(lhs, rhs, params.qmode))
+def _checker(identity: IdentityId, cells: Callable) -> Callable:
+    """The checker of identity: the list of reports of the cells(params, nmax) stream."""
+    name = identity.value
+
+    def check(params, nmax):
+        return [checked(name, params, *cell) for cell in cells(params, nmax)]
+
+    return check
 
 
 #: The recurrence identities, first-order Horner sums in w = weight(i(n, k)):
@@ -103,17 +108,16 @@ _RECURRENCES = {
 }
 
 
-def _check_recurrence(identity: IdentityId):
+def _check_recurrence(identity: IdentityId) -> Callable:
     kind, layout, op, index, b, s = _RECURRENCES[identity]
     vertical = layout == "vertical"
 
-    def check(params, nmax):
+    def cells(params, nmax):
         build = whitney_first_triangle if kind == "first" else whitney_second_triangle
         last = nmax if vertical else nmax + 1
         # A horizontal left side on row n needs row n+1: one extra base row.
         rows = build(params, last).rows
         mode = params.qmode
-        reports = []
         acc = []
         for n in range(last):
             if vertical:
@@ -125,21 +129,18 @@ def _check_recurrence(identity: IdentityId):
                 e = b(n, k)
                 acc[k] = op(mode.q_power(e) * t if e else t,
                             params.weight(index(n, k)) * acc[k if vertical else k + 1])
-            reports.extend(_rep(identity, params, {"n": n, "k": k},
-                                rows[n + 1][k + 1] if vertical else rows[n][k],
-                                mode.q_power(s(n, k)) * acc[k])
-                           for k in range(n + 1))
-        return reports
+            for k in range(n + 1):
+                yield ({"n": n, "k": k}, rows[n + 1][k + 1] if vertical else rows[n][k],
+                       mode.q_power(s(n, k)) * acc[k])
 
-    return check
+    return _checker(identity, cells)
 
 
-def _check_genfunc_second(params, nmax):
+def _genfunc_second(params, nmax):
     if not params.qmode.is_exact:
         raise IncompatibleModeError("genfunc_second needs an exact mode")
     tri = whitney_second_triangle(params, nmax)
     mode = params.qmode
-    reports = []
     den = [mode.q_power(0)]
     for k in range(nmax + 1):
         # Denominator prod_{i=0..k} (1 - weight(i) t) as coefficients in t:
@@ -153,31 +154,23 @@ def _check_genfunc_second(params, nmax):
             for j in range(1, min(n, k + 1) + 1):
                 c = c - den[j] * coeffs[n - j]
             coeffs.append(c)
-            reports.append(_rep(IdentityId.GENFUNC_SECOND, params, {"k": k, "n": n},
-                                c, tri.value(n, k)))
-    return reports
+            yield {"k": k, "n": n}, c, tri.value(n, k)
 
 
-def _check_boundary(params, nmax):
+def _boundary(params, nmax):
     w = whitney_first_triangle(params, nmax)
     W = whitney_second_triangle(params, nmax)
     mode = params.qmode
-    reports = []
     prod = mode.q_power(0)
     for n in range(nmax + 1):
         qneg = mode.q_power(-comb(n, 2))
-        lhs = w.value(n, 0)
-        rhs = qneg * prod if n % 2 == 0 else -(qneg * prod)
-        reports.append(_rep(IdentityId.BOUNDARY, params, {"n": n, "entry": "first_k0"},
-                            lhs, rhs))
-        reports.append(_rep(IdentityId.BOUNDARY, params, {"n": n, "entry": "first_kn"},
-                            w.value(n, n), qneg))
-        reports.append(_rep(IdentityId.BOUNDARY, params, {"n": n, "entry": "second_k0"},
-                            W.value(n, 0), mode.of(params.r) ** n * mode.q_power(0)))
-        reports.append(_rep(IdentityId.BOUNDARY, params, {"n": n, "entry": "second_kn"},
-                            W.value(n, n), mode.q_power(comb(n, 2))))
+        yield ({"n": n, "entry": "first_k0"}, w.value(n, 0),
+               qneg * prod if n % 2 == 0 else -(qneg * prod))
+        yield {"n": n, "entry": "first_kn"}, w.value(n, n), qneg
+        yield ({"n": n, "entry": "second_k0"}, W.value(n, 0),
+               mode.of(params.r) ** n * mode.q_power(0))
+        yield {"n": n, "entry": "second_kn"}, W.value(n, n), mode.q_power(comb(n, 2))
         prod = prod * params.weight(n)
-    return reports
 
 
 def _r_splits(params) -> list[tuple[Fraction, Fraction]]:
@@ -207,23 +200,22 @@ def _r_decomposition(params, kind: str, r1: Fraction, nmax: int):
             yield n, k, tri.value(n, k), rhs
 
 
-def _check_r_decomp(identity: IdentityId, kind: str):
-    def check(params, nmax):
-        return [_rep(identity, params, {"r1": str(r1), "r2": str(r2), "n": n, "k": k},
-                     lhs, rhs)
-                for r1, r2 in _r_splits(params)
-                for n, k, lhs, rhs in _r_decomposition(params, kind, r1, nmax)]
+def _r_decomp(kind: str) -> Callable:
+    def cells(params, nmax):
+        for r1, r2 in _r_splits(params):
+            for n, k, lhs, rhs in _r_decomposition(params, kind, r1, nmax):
+                yield {"r1": str(r1), "r2": str(r2), "n": n, "k": k}, lhs, rhs
 
-    return check
+    return cells
 
 
-def _check_r_shift(params, nmax):
+def _r_shift(params, nmax):
     # The r1 = r - 1 split of both kinds, interleaved cell by cell.
     kinds = ("first", "second")
     streams = [_r_decomposition(params, kind, params.r - 1, nmax) for kind in kinds]
-    return [_rep(IdentityId.R_SHIFT, params, {"kind": kind, "n": n, "k": k}, lhs, rhs)
-            for cells in zip(*streams)
-            for kind, (n, k, lhs, rhs) in zip(kinds, cells)]
+    for cells in zip(*streams):
+        for kind, (n, k, lhs, rhs) in zip(kinds, cells):
+            yield {"kind": kind, "n": n, "k": k}, lhs, rhs
 
 
 #: The convolution identities, one A-tableau argument per row:
@@ -243,11 +235,11 @@ _CONVOLUTIONS = {
 }
 
 
-def _check_convolution(identity: IdentityId):
+def _convolution(identity: IdentityId) -> Callable:
     kind, layout, shift, outer, inner = _CONVOLUTIONS[identity]
     row = layout == "row"
 
-    def check(params, nmax):
+    def cells(params, nmax):
         build = whitney_first_triangle if kind == "first" else whitney_second_triangle
         cap = min(nmax, HEAVY_CAP)
         # A column layout's left side lives on row n+1: one extra base row.
@@ -256,7 +248,6 @@ def _check_convolution(identity: IdentityId):
         shifted = {s: build(params, cap, shift=s).rows for s in shifts}
         rows = tri.rows
         mode = params.qmode
-        reports = []
         for p in range(cap + 1):
             for j in range(cap - p + 1):
                 for n in range(p + j + 1) if row else range(p + j, cap + 1):
@@ -276,47 +267,39 @@ def _check_convolution(identity: IdentityId):
                     if e:
                         rhs = mode.q_power(e) * rhs
                     lhs = tri.value(p + j, n) if row else tri.value(n + 1, p + j + 1)
-                    reports.append(_rep(identity, params, {"p": p, "j": j, "n": n},
-                                        lhs, rhs))
-        return reports
+                    yield {"p": p, "j": j, "n": n}, lhs, rhs
 
-    return check
+    return cells
 
 
-def _check_dowling_binomial(identity: IdentityId):
+def _dowling_binomial(inverse: bool) -> Callable:
     # D_(r+1) is the binomial transform of D_r; the inverse recovers D_r.
-    inverse = identity is IdentityId.DOWLING_BINOMIAL_INV
-
-    def check(params, nmax):
+    def cells(params, nmax):
         seq = dowling_sequence(params, nmax)
         up = dowling_sequence(WhitneyParams(params.m, params.r + 1, params.qmode), nmax)
         lhs, rhs = (seq, binomial_inverse(up)) if inverse else (up, binomial_transform(seq))
-        return [_rep(identity, params, {"n": n}, lhs[n], rhs[n]) for n in range(nmax + 1)]
+        yield from zip([{"n": n} for n in range(nmax + 1)], lhs, rhs)
 
-    return check
+    return cells
 
 
-def _check_orthogonality(params, nmax):
+def _orthogonality(params, nmax):
     cap = min(nmax, HEAVY_CAP)
     w = whitney_first_triangle(params, cap).rows
     W = whitney_second_triangle(params, cap).rows
     mode = params.qmode
     one = mode.q_power(0)
-    reports = []
     for n in range(cap + 1):
         for j in range(n + 1):
             target = one if n == j else 0
             for direction, a, b in (("wW", w, W), ("Ww", W, w)):
                 lhs = mode.sum_of_products([(a[n][k], b[k][j]) for k in range(j, n + 1)])
-                reports.append(_rep(IdentityId.ORTHOGONALITY, params,
-                                    {"n": n, "j": j, "direction": direction}, lhs, target))
-    return reports
+                yield {"n": n, "j": j, "direction": direction}, lhs, target
 
 
-def _check_privault_q(params, nmax):
+def _privault_q(params, nmax):
     cap = min(nmax, HEAVY_CAP)
     mode = params.qmode
-    reports = []
     stirling = whitney_second_triangle(
         WhitneyParams(Fraction(1), Fraction(0), mode), cap)
     mpow, rpow = powers(mode.of(params.m), cap), powers(mode.of(params.r), cap)
@@ -331,34 +314,33 @@ def _check_privault_q(params, nmax):
         for x in PRIVAULT_X_VALUES:
             rhs = mode.sum_of_products([(comb(n, k), rpow[n - k], acc)
                                         for k, acc in enumerate(inner[x][:n + 1])])
-            lhs = dowling_polynomial(params, n, x)
-            reports.append(_rep(IdentityId.PRIVAULT_Q, params, {"n": n, "x": str(x)},
-                                lhs, rhs))
-    return reports
+            yield {"n": n, "x": str(x)}, dowling_polynomial(params, n, x), rhs
 
 
-def _check_defining(relation: Callable):
-    def check(params, nmax):
-        return [relation(params, ell, n)
-                for ell in range(DEFINING_ELL_CAP + 1) for n in range(nmax + 1)]
+def _defining(relation: Callable) -> Callable:
+    def cells(params, nmax):
+        for ell, n in product(range(DEFINING_ELL_CAP + 1), range(nmax + 1)):
+            yield ({"ell": ell, "n": n}, *relation(params, ell, n))
 
-    return check
+    return cells
 
 
 _CHECKERS: dict[IdentityId, Callable] = {
     **{identity: _check_recurrence(identity) for identity in _RECURRENCES},
-    IdentityId.GENFUNC_SECOND: _check_genfunc_second,
-    IdentityId.BOUNDARY: _check_boundary,
-    IdentityId.R_DECOMP_FIRST: _check_r_decomp(IdentityId.R_DECOMP_FIRST, "first"),
-    IdentityId.R_DECOMP_SECOND: _check_r_decomp(IdentityId.R_DECOMP_SECOND, "second"),
-    IdentityId.R_SHIFT: _check_r_shift,
-    **{identity: _check_convolution(identity) for identity in _CONVOLUTIONS},
-    **{identity: _check_dowling_binomial(identity)
-       for identity in (IdentityId.DOWLING_BINOMIAL_FWD, IdentityId.DOWLING_BINOMIAL_INV)},
-    IdentityId.ORTHOGONALITY: _check_orthogonality,
-    IdentityId.PRIVAULT_Q: _check_privault_q,
-    IdentityId.DEFINING_FIRST: _check_defining(defining_first),
-    IdentityId.DEFINING_SECOND: _check_defining(defining_second),
+    **{identity: _checker(identity, cells) for identity, cells in [
+        (IdentityId.GENFUNC_SECOND, _genfunc_second),
+        (IdentityId.BOUNDARY, _boundary),
+        (IdentityId.R_DECOMP_FIRST, _r_decomp("first")),
+        (IdentityId.R_DECOMP_SECOND, _r_decomp("second")),
+        (IdentityId.R_SHIFT, _r_shift),
+        *[(identity, _convolution(identity)) for identity in _CONVOLUTIONS],
+        (IdentityId.DOWLING_BINOMIAL_FWD, _dowling_binomial(False)),
+        (IdentityId.DOWLING_BINOMIAL_INV, _dowling_binomial(True)),
+        (IdentityId.ORTHOGONALITY, _orthogonality),
+        (IdentityId.PRIVAULT_Q, _privault_q),
+        (IdentityId.DEFINING_FIRST, _defining(defining_first)),
+        (IdentityId.DEFINING_SECOND, _defining(defining_second)),
+    ]},
 }
 
 

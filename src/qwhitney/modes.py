@@ -202,17 +202,6 @@ def parse_scalar(text: str, mode: QMode) -> Scalar:
     return float(text)
 
 
-#: Relative tolerance of a float-mode comparison in `values_equal`.
-FLOAT_REL_TOL = 1e-9
-
-
-def values_equal(lhs: Scalar, rhs: Scalar, mode: QMode) -> bool:
-    """Exact equality in exact modes, FLOAT_REL_TOL relative tolerance in float mode."""
-    if mode.is_exact:
-        return lhs == rhs
-    return abs(lhs - rhs) <= FLOAT_REL_TOL * max(1.0, abs(rhs))
-
-
 def divide_exact(num: Scalar, den: Scalar):
     """Division that is exact in exact modes and plain / on floats."""
     if isinstance(num, LaurentPoly) or isinstance(den, LaurentPoly):

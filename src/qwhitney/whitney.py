@@ -28,7 +28,7 @@ from operator import add, mul, sub
 
 from .errors import ZeroMError
 from .laurent import LaurentPoly
-from .modes import SYMBOLIC, FloatQ, QMode, Scalar, divide_exact, values_equal
+from .modes import SYMBOLIC, FloatQ, QMode, Scalar, divide_exact
 from .qcore import (
     complete_homogeneous,
     elementary_symmetric,
@@ -38,7 +38,7 @@ from .qcore import (
     q_int_products,
 )
 from .record import Record
-from .report import IdentityReport
+from .report import IdentityReport, checked
 
 
 class WhitneyParams(Record):
@@ -342,29 +342,25 @@ def dowling_sequence(params: WhitneyParams, nmax: int) -> tuple:
 # -- defining relations -------------------------------------------------------
 
 
-def defining_first(params: WhitneyParams, ell: int, n: int) -> IdentityReport:
-    """First kind: m^n [ell]_q ... [ell-n+1]_q = sum_k w(n,k) (m[ell]_q + r)^k."""
+def defining_first(params: WhitneyParams, ell: int, n: int) -> tuple[Scalar, Scalar]:
+    """First kind, as (lhs, rhs): m^n [ell]_q ... [ell-n+1]_q = sum_k w(n,k) (m[ell]_q + r)^k."""
     if ell < 0 or n < 0:
         raise ValueError("ell and n must be >= 0")
     mode = params.qmode
     w = whitney_first_triangle(params, n)
     lhs = mode.of(params.m)**n * q_falling_factorial(ell, n, mode)
-    rhs = mode.sum_of_products(list(zip(w.rows[n], powers(params.weight(ell), n))))
-    return IdentityReport("defining_first", params.point(ell=ell, n=n), lhs, rhs,
-                          values_equal(lhs, rhs, mode))
+    return lhs, mode.sum_of_products(list(zip(w.rows[n], powers(params.weight(ell), n))))
 
 
-def defining_second(params: WhitneyParams, ell: int, n: int) -> IdentityReport:
-    """Second kind: (m[ell]_q + r)^n = sum_k m^k W(n,k) [ell]_q ... [ell-k+1]_q."""
+def defining_second(params: WhitneyParams, ell: int, n: int) -> tuple[Scalar, Scalar]:
+    """Second kind, as (lhs, rhs): (m[ell]_q + r)^n = sum_k m^k W(n,k) [ell]_q ... [ell-k+1]_q."""
     if ell < 0 or n < 0:
         raise ValueError("ell and n must be >= 0")
     mode = params.qmode
     W = whitney_second_triangle(params, n)
     lhs = params.weight(ell)**n
     falling = q_falling_factorials(ell, n, mode)
-    rhs = mode.sum_of_products(list(zip(powers(mode.of(params.m), n), W.rows[n], falling)))
-    return IdentityReport("defining_second", params.point(ell=ell, n=n), lhs, rhs,
-                          values_equal(lhs, rhs, mode))
+    return lhs, mode.sum_of_products(list(zip(powers(mode.of(params.m), n), W.rows[n], falling)))
 
 
 def defining_relation_check(params: WhitneyParams, ell: int, n: int) -> list[IdentityReport]:
@@ -372,4 +368,5 @@ def defining_relation_check(params: WhitneyParams, ell: int, n: int) -> list[Ide
 
     Returns one report per relation; failures are reported, never raised.
     """
-    return [defining_first(params, ell, n), defining_second(params, ell, n)]
+    return [checked(relation.__name__, params, {"ell": ell, "n": n}, *relation(params, ell, n))
+            for relation in (defining_first, defining_second)]

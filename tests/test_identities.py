@@ -16,6 +16,7 @@ from qwhitney.errors import (
 )
 from qwhitney.identities import (
     DEFAULT_GRID,
+    DEFINING_ELL_CAP,
     IdentityId,
     _det_fraction_free,
     binomial_inverse,
@@ -27,7 +28,12 @@ from qwhitney.identities import (
 )
 from qwhitney.laurent import ZERO, LaurentPoly, q_monomial
 from qwhitney.modes import SYMBOLIC, FloatQ, RationalQ, canonical_text
-from qwhitney.whitney import WhitneyParams, dowling_sequence, whitney_first_triangle
+from qwhitney.whitney import (
+    WhitneyParams,
+    defining_relation_check,
+    dowling_sequence,
+    whitney_first_triangle,
+)
 
 SMALL_GRID = [(Fraction(1), Fraction(0)), (Fraction(2), Fraction(1)),
               (Fraction(3, 2), Fraction(5, 2))]
@@ -361,6 +367,24 @@ def test_float_mode_smoke():
     for identity in (IdentityId.VERTICAL_SECOND, IdentityId.BOUNDARY,
                      IdentityId.DEFINING_SECOND, IdentityId.CONVO_SECOND_B):
         assert all(rep.passed for rep in verify(identity, params, 4))
+
+
+@pytest.mark.parametrize("mode", [SYMBOLIC, RationalQ(Fraction(-1, 2)), FloatQ(0.5)],
+                         ids=["symbolic", "q=-1/2", "float 0.5"])
+def test_defining_relation_check_gives_the_catalogue_reports(mode):
+    # The public per-point check and the catalogue reach the defining relations
+    # by two routes; both must give the same identity, point, sides and verdict.
+    params = WhitneyParams(Fraction(3, 2), Fraction(5, 2), mode)
+    nmax = 5 if mode.is_exact else 10  # float rounding fails some checks by nmax 10
+    catalogue = [rep for identity in (IdentityId.DEFINING_FIRST, IdentityId.DEFINING_SECOND)
+                 for rep in verify(identity, params, nmax)]
+    direct = [rep for ell in range(DEFINING_ELL_CAP + 1) for n in range(nmax + 1)
+              for rep in defining_relation_check(params, ell, n)]
+    # repr shows every field, the point's key order included.
+    assert sorted(map(repr, direct)) == sorted(map(repr, catalogue))
+    assert len(direct) == 2 * (DEFINING_ELL_CAP + 1) * (nmax + 1)
+    if not mode.is_exact:
+        assert {rep.passed for rep in direct} == {True, False}
 
 
 def test_report_json_shape():

@@ -3,7 +3,7 @@
 Each module uses only the public names of the other package modules, and
 the pmf walk's mass floor, the series tolerance, the series term cap and
 the Laurent division-by-zero error are each written in one place, as are
-the Laurent convolution and normal form.
+the Laurent convolution and normal form and the identity pass/fail rule.
 """
 
 import ast
@@ -98,3 +98,17 @@ def test_every_laurent_ring_result_is_normalised_in_one_place():
     laurent = PACKAGE / "laurent.py"
     assert _callers(laurent, "_convolve") == ["sum_of_products"]
     assert _callers(laurent, "_fill") == ["__init__", "_from_ints", "sum_of_products"]
+
+
+def test_every_identity_report_is_built_by_the_one_pass_fail_rule():
+    builders = {path.name: _callers(path, "IdentityReport") for path in SOURCES}
+    assert {name: owners for name, owners in builders.items() if owners} == {
+        "report.py": ["checked"]}
+
+
+def test_the_float_tolerance_is_assigned_in_one_module():
+    holders = [path.name for path in SOURCES
+               if any(isinstance(node, ast.Name) and node.id == "FLOAT_REL_TOL"
+                      and isinstance(node.ctx, ast.Store)
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))]
+    assert holders == ["report.py"]

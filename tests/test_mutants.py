@@ -79,6 +79,17 @@ def test_one_part_sum_dropping_a_field(monkeypatch, capsys, fault):
     assert _verify_exit(capsys) == 1
 
 
+def test_q_integer_three_with_a_doubled_top_coefficient(monkeypatch, capsys):
+    # The integer kernel forms M [j]_q itself, while params.weight takes [j]_q
+    # from q_integer, so the triangles and the checkers' weight(3) disagree.
+    mutant = _mutant(qcore.q_integer.__wrapped__, "(1,) * n)",
+                     "(1,) * n if n != 3 else (1, 1, 2))")
+    before = qcore.q_integer(3)
+    monkeypatch.setattr(qcore, "q_integer", mutant)
+    assert qcore.q_integer(3) != before
+    assert _verify_exit(capsys) == 1
+
+
 def test_convolution_dropping_its_last_coefficient(monkeypatch, capsys):
     mutant = _mutant(laurent._convolve, "return out", "return out[:-1]")
     expected = LaurentPoly(0, (1, 2, 1))
@@ -111,6 +122,22 @@ def test_step_table_fault(monkeypatch, capsys, name):
     assert after[0] != before[0] and after[1] != before[1]
     assert _verify_exit(capsys) == 1
     assert _verify_exit(capsys, VERIFY_HALF) == 1
+
+
+def test_verify_names_the_first_failure(monkeypatch, capsys):
+    assert cli.main(VERIFY_HALF) == 0
+    assert capsys.readouterr().err == ""
+    whitney._first_rows.cache_clear()
+    kind, field, fault = STEP_FAULTS["first row power"]
+    step = list(whitney._STEPS[kind])
+    step[field] = fault
+    monkeypatch.setitem(whitney._STEPS, kind, tuple(step))
+    assert cli.main(VERIFY_HALF) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].startswith("FAIL\t") and "first failure" not in out
+    # The first failure in count-table order: identity, grid point, then the checker's order.
+    assert err == ('qwhitney: first failure: vertical_first at {"m": "1", "r": "0", '
+                   '"qmode": "rational", "q0": "1/2", "n": 0, "k": 0}: lhs - rhs = -1/2\n')
 
 
 def test_integer_kernel_weight_index_off_by_one(monkeypatch, capsys):
