@@ -20,6 +20,7 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 from math import inf
 from operator import itemgetter
 
@@ -34,7 +35,7 @@ from .identities import (
 from .modes import SYMBOLIC, canonical_text, parse_qmode, parse_scalar
 from .qcore import TERM_CAP
 from .qdist import (MOMENT_NMAX, MOMENT_REL_TOL, QDistSpec, moment_pairs, pmf_walk,
-                    sample_batches)
+                    sample_batches, sample_by_search)
 from .whitney import WhitneyParams, whitney_first_triangle, whitney_second_triangle
 
 FORMAT_VERSION = "1"
@@ -289,12 +290,44 @@ def run_dist(args) -> int:
             print(f"qwhitney: {violation}", file=sys.stderr)
             return 1
         return 0
-    # Written batch by batch, so memory does not grow with --count.
+    # Written batch by batch, so memory does not grow with --count.  The
+    # first batch is checked against the per-draw search once it is written.
+    batches = sample_batches(spec, args.count, args.seed)
+    first = next(batches, [])
     labels = []
-    for batch in sample_batches(spec, args.count, args.seed):
-        labels += [f"{x}\n" for x in range(len(labels), max(batch) + 1)]
-        sys.stdout.write("".join(map(labels.__getitem__, batch)))
+    for batch in chain([first], batches):
+        sys.stdout.write(_draw_lines(batch, labels))
+    searched = sample_by_search(spec, len(first), args.seed)
+    if first != searched:
+        i = next(i for i, pair in enumerate(zip(first, searched)) if pair[0] != pair[1])
+        print(f"qwhitney: draw {i} is {first[i]}, but the per-draw search gives {searched[i]}",
+              file=sys.stderr)
+        return 1
     return 0
+
+
+#: The hundreds, tens and units digit of each byte value v, in ASCII, with
+#: the pad byte 0 where v has no such digit.
+_DIGIT_LANES = tuple(bytes(str(v).rjust(3, "\0").encode()[lane] for v in range(256))
+                     for lane in range(3))
+
+
+def _draw_lines(batch: list[int], labels: list[str]) -> str:
+    """The draws of batch as text, one decimal number per line.
+
+    Each draw takes four bytes: three digit lanes, each one bytes.translate
+    of the batch through `_DIGIT_LANES`, and a newline; deleting the pad
+    bytes leaves the text.  A batch with a draw past 255 has no bytes form;
+    it joins the lines in labels, extended to cover its largest draw."""
+    try:
+        draws = bytes(batch)
+    except ValueError:
+        labels += [f"{x}\n" for x in range(len(labels), max(batch) + 1)]
+        return "".join(map(labels.__getitem__, batch))
+    text = bytearray(b"\0\0\0\n") * len(batch)
+    for lane, digits in enumerate(_DIGIT_LANES):
+        text[lane::4] = draws.translate(digits)
+    return text.translate(None, b"\0").decode("ascii")
 
 
 def run_hankel(args) -> int:

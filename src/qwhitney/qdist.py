@@ -375,3 +375,14 @@ def _byte_table(cuts: list[int]) -> bytes:
 def sample(spec: QDistSpec, count: int, seed: int) -> list[int]:
     """Inverse-CDF draws, deterministic for a fixed seed: `sample_batches` in one list."""
     return list(chain.from_iterable(sample_batches(spec, count, seed)))
+
+
+def sample_by_search(spec: QDistSpec, count: int, seed: int) -> list[int]:
+    """The first count draws of `sample` by the route `sample_batches`
+    replaces, and the one `dist --op sample` checks its first batch against:
+    one random() and one bisect of the cumulative table per draw, clamped to
+    the last tabulated outcome.  It shares only `pmf_walk` with the batches."""
+    cdf = list(accumulate(pmf_walk(spec)))
+    cdf[-1] = inf  # a draw at or past the cutoff lands on the last outcome
+    draw = random.Random(seed).random
+    return [bisect_right(cdf, draw()) for _ in range(count)]

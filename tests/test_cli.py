@@ -494,6 +494,44 @@ def test_dist_sample_output_is_one_line_per_draw(capsys, count):
     assert out == "".join(f"{d}\n" for d in draws)
 
 
+@pytest.mark.parametrize("spec", [qdist.QDistSpec("heine", 0.99, 60.0),
+                                  qdist.QDistSpec("heine", 0.999, 400.0)],
+                         ids=["two-digit-draws", "draws-past-255"])
+def test_dist_sample_long_tail_prints_the_sample(capsys, spec):
+    count = 2 * SAMPLE_BATCH + 5
+    code, out, err = run(capsys, "dist", "--family", spec.family, "--q", str(spec.q),
+                         "--lambda", str(spec.lam), "--op", "sample", "--count", str(count),
+                         "--seed", "2024")
+    assert (code, err) == (0, "")
+    assert out == "".join(f"{d}\n" for d in qdist.sample(spec, count, 2024))
+
+
+def _lines(batch):
+    return "".join(f"{x}\n" for x in batch)
+
+
+@pytest.mark.parametrize("batch", [
+    [], [0, 9, 10, 99, 100, 255], [255, 100, 99, 10, 9, 0] * 3, [10, 99, 100, 255] * 7,
+    [0, 9, 10, 99, 100, 255, 256, 1000], [1000, 256, 256],
+], ids=["empty", "digit-edges", "digit-edges-descending", "all-multi-digit",
+        "past-255", "all-past-255"])
+def test_draw_lines_is_one_decimal_line_per_draw(batch):
+    assert cli._draw_lines(batch, []) == _lines(batch)
+
+
+def test_draw_lines_reuses_labels_across_batches():
+    labels = []
+    for batch in ([1000, 3], [7, 256], [5, 0], [1001]):
+        assert cli._draw_lines(batch, labels) == _lines(batch)
+    assert labels == [f"{x}\n" for x in range(1002)]
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 255), max_size=600) | st.lists(st.integers(0, 1100)))
+def test_draw_lines_of_random_batches(batch):
+    assert cli._draw_lines(batch, []) == _lines(batch)
+
+
 def test_dist_sample_writes_bounded_batches(monkeypatch):
     writes = []
 

@@ -1,15 +1,17 @@
-"""Planted faults in the shared kernels must make `verify` or `dist --op moments` fail.
+"""Planted faults in the shared kernels must make `verify` or `dist` fail.
 
 Each mutant is one line of a kernel changed in its own source, or one field
-of the Whitney step table, bound in place with monkeypatch.  A test checks
-that the mutant changes a value, then that `verify --suite all` exits 1 in
-the mode whose path the mutant sits on, or, for the q-distribution layer,
-that `dist --op moments` exits 1 for the family it touches.  The triangle
+of the Whitney step table or one constant, bound in place with monkeypatch.
+A test checks that the mutant changes a value, then that `verify --suite all`
+exits 1 in the mode whose path the mutant sits on, or, for the q-distribution
+layer, that `dist --op moments` exits 1 for the family it touches, or, for
+the batch sampler, that `dist --op sample` exits 1.  The triangle
 and q-polynomial caches are cleared around each test, so no value built
 under a mutant outlives it.
 """
 
 import inspect
+import sys
 from fractions import Fraction
 
 import pytest
@@ -201,3 +203,37 @@ def test_q_distribution_fault(monkeypatch, capsys, name):
                      "--m", "3/2", "--r", "5/2"])
     capsys.readouterr()
     assert code == 1
+
+
+#: A fault in the batch sampler: name -> (function, old text, new text), or
+#: (None, name of a constant, its faulty value).  The mutant replaces the
+#: name in `qdist`, and in `cli` where `cli` binds it too.
+SAMPLER_FAULTS = {
+    "byte table one cell too late": (qdist._byte_table, "cuts, v << 56)", "cuts, v + 1 << 56)"),
+    "split-cell search skipped": (qdist.sample_batches, "_EXACT_CELL.finditer(codes)", "()"),
+    "two high key lanes swapped": (
+        None, "_KEY_LANES",
+        (4, 5, 6, 7, 0, 1, 3, 2) if sys.byteorder == "little" else (2, 3, 1, 0, 7, 6, 5, 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(SAMPLER_FAULTS))
+def test_sampler_fault(monkeypatch, capsys, name):
+    func, old, new = SAMPLER_FAULTS[name]
+    mutant = new if func is None else _mutant(func, old, new)
+    attr = old if func is None else func.__name__
+    before = qdist.sample(HEINE, qdist.SAMPLE_BATCH, 2024)
+    for module in (qdist, cli):
+        if hasattr(module, attr):
+            monkeypatch.setattr(module, attr, mutant)
+    after = qdist.sample(HEINE, qdist.SAMPLE_BATCH, 2024)
+    assert after != before
+    code = cli.main(["dist", "--family", "heine", "--q", "0.5", "--lambda", "0.7",
+                     "--op", "sample", "--count", str(qdist.SAMPLE_BATCH), "--seed", "2024"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    # The output is still what the faulty sampler drew; stderr names its first wrong draw.
+    assert out == "".join(f"{x}\n" for x in after)
+    i = next(i for i, (x, y) in enumerate(zip(after, before)) if x != y)
+    assert err == (f"qwhitney: draw {i} is {after[i]}, but the per-draw search gives "
+                   f"{before[i]}\n")

@@ -20,9 +20,11 @@ import tracing  # noqa: E402
       "--q", "symbolic"], "whitney.second_rows"),
     (["dist", "--family", "heine", "--q", "0.5", "--lambda", "0.7", "--op", "moments",
       "--n", "3"], "qdist.direct_moment_oracle"),
+    (["dist", "--family", "heine", "--q", "0.5", "--lambda", "0.7", "--op", "sample",
+      "--count", "5000"], "cli.main"),
     (["hankel", "--m", "1", "--r-values", "0,1", "--q", "1/2", "--order", "4"],
      "identities.hankel_transform"),
-], ids=["verify", "verify_symbolic", "table", "dist", "hankel"])
+], ids=["verify", "verify_symbolic", "table", "dist", "dist_sample", "hankel"])
 def test_traced_child_job(tmp_path, argv, span):
     prefix = tmp_path / "trace"
     proc = subprocess.run([sys.executable, "-I", "-S", str(ROOT / "bench" / "child.py"),
@@ -37,5 +39,7 @@ def test_traced_child_job(tmp_path, argv, span):
         assert counters["identities.checks"] == checked > 0
     if span.startswith("laurent."):
         assert counters["laurent.mul_coeff_products"] > 0
-    if argv[0] == "dist":
+    if "moments" in argv:
         assert counters["qdist.oracle_terms"] > 0
+    if "sample" in argv:
+        assert proc.stdout.count("\n") == 5000
