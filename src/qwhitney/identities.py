@@ -9,6 +9,9 @@ one IdentityReport per check, each built and judged by `report.checked`.
 The convolution identities internally use shifted parameter families: the
 summand triangles belong to (m q^s, m [s]_q + r) for a shift s derived from
 the indices, never supplied by callers.
+
+Each checker reads one triangle per (kind, params, shift), built to the rows it
+reads, and each power sequence from one list per point.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import comb
-from operator import add, sub
+from operator import add, mul, sub
 
 from .errors import (
     IncompatibleModeError,
@@ -31,9 +35,7 @@ from .record import Record
 from .report import IdentityReport, checked
 from .whitney import (
     WhitneyParams,
-    defining_first,
-    defining_second,
-    dowling_polynomial,
+    defining_sides,
     dowling_sequence,
     whitney_first_triangle,
     whitney_second_triangle,
@@ -150,9 +152,10 @@ def _genfunc_second(params, nmax):
         # Multiply through and equate coefficients: c_n solves the recurrence.
         coeffs = []
         for n in range(nmax + 1):
-            c = mode.q_power(comb(k, 2)) if n == k else 0
-            for j in range(1, min(n, k + 1) + 1):
-                c = c - den[j] * coeffs[n - j]
+            terms = [(-1, den[j], coeffs[n - j]) for j in range(1, min(n, k + 1) + 1)]
+            if n == k:
+                terms.append((mode.q_power(comb(k, 2)),))
+            c = mode.sum_of_products(terms)
             coeffs.append(c)
             yield {"k": k, "n": n}, c, tri.value(n, k)
 
@@ -242,10 +245,15 @@ def _convolution(identity: IdentityId) -> Callable:
     def cells(params, nmax):
         build = whitney_first_triangle if kind == "first" else whitney_second_triangle
         cap = min(nmax, HEAVY_CAP)
-        # A column layout's left side lives on row n+1: one extra base row.
-        tri = build(params, cap if row else cap + 1)
+        # A column layout's left side lives on row n+1: one extra base row,
+        # also asked for in the row layout, so tri is the shift-0 cache entry.
+        tri = build(params, cap + 1)
+        # Shift s is read to row cap - s in a row layout (row j <= cap - p, with
+        # s = p in first_a and s = k <= p in second_b) and to row cap + 1 - s in
+        # a column layout (row n - k <= cap - k, with s = k + 1 in first_b and
+        # s = p + 1 <= k + 1 in second_a); s <= cap + 1, so cap + 1 - s serves all four.
         shifts = sorted({shift(p, k) for p in range(cap + 1) for k in range(cap + 1)})
-        shifted = {s: build(params, cap, shift=s).rows for s in shifts}
+        shifted = {s: build(params, cap + 1 - s, shift=s).rows for s in shifts}
         rows = tri.rows
         mode = params.qmode
         for p in range(cap + 1):
@@ -300,13 +308,14 @@ def _orthogonality(params, nmax):
 def _privault_q(params, nmax):
     cap = min(nmax, HEAVY_CAP)
     mode = params.qmode
+    rows = whitney_second_triangle(params, cap).rows
     stirling = whitney_second_triangle(
         WhitneyParams(Fraction(1), Fraction(0), mode), cap)
     mpow, rpow = powers(mode.of(params.m), cap), powers(mode.of(params.r), cap)
     # inner[x][k] = sum_j m^(k-j) S(k,j) x^j does not depend on n.
-    inner = {}
+    inner, xpows = {}, {}
     for x in PRIVAULT_X_VALUES:
-        xpow = powers(mode.of(x), cap)
+        xpow = xpows[x] = powers(mode.of(x), cap)
         inner[x] = [mode.sum_of_products([(mpow[k - j], s, xpow[j])
                                           for j, s in enumerate(row) if s])
                     for k, row in enumerate(stirling.rows)]
@@ -314,13 +323,16 @@ def _privault_q(params, nmax):
         for x in PRIVAULT_X_VALUES:
             rhs = mode.sum_of_products([(comb(n, k), rpow[n - k], acc)
                                         for k, acc in enumerate(inner[x][:n + 1])])
-            yield {"n": n, "x": str(x)}, dowling_polynomial(params, n, x), rhs
+            # Summed as `dowling_polynomial` sums it, so float values match it bit for bit.
+            lhs = reduce(add, map(mul, rows[n], xpows[x]))
+            yield {"n": n, "x": str(x)}, lhs, rhs
 
 
-def _defining(relation: Callable) -> Callable:
+def _defining(kind: str) -> Callable:
     def cells(params, nmax):
-        for ell, n in product(range(DEFINING_ELL_CAP + 1), range(nmax + 1)):
-            yield ({"ell": ell, "n": n}, *relation(params, ell, n))
+        for ell in range(DEFINING_ELL_CAP + 1):
+            for n, sides in enumerate(defining_sides(kind, params, ell, nmax)):
+                yield ({"ell": ell, "n": n}, *sides)
 
     return cells
 
@@ -338,8 +350,8 @@ _CHECKERS: dict[IdentityId, Callable] = {
         (IdentityId.DOWLING_BINOMIAL_INV, _dowling_binomial(True)),
         (IdentityId.ORTHOGONALITY, _orthogonality),
         (IdentityId.PRIVAULT_Q, _privault_q),
-        (IdentityId.DEFINING_FIRST, _defining(defining_first)),
-        (IdentityId.DEFINING_SECOND, _defining(defining_second)),
+        (IdentityId.DEFINING_FIRST, _defining("first")),
+        (IdentityId.DEFINING_SECOND, _defining("second")),
     ]},
 }
 

@@ -33,7 +33,6 @@ from .qcore import (
     complete_homogeneous,
     elementary_symmetric,
     powers,
-    q_falling_factorial,
     q_falling_factorials,
     q_int_products,
 )
@@ -342,25 +341,39 @@ def dowling_sequence(params: WhitneyParams, nmax: int) -> tuple:
 # -- defining relations -------------------------------------------------------
 
 
-def defining_first(params: WhitneyParams, ell: int, n: int) -> tuple[Scalar, Scalar]:
-    """First kind, as (lhs, rhs): m^n [ell]_q ... [ell-n+1]_q = sum_k w(n,k) (m[ell]_q + r)^k."""
-    if ell < 0 or n < 0:
+def defining_sides(kind: str, params: WhitneyParams, ell: int, nmax: int):
+    """Yield (lhs, rhs) of the kind's defining relation at ell for n = 0..nmax.
+
+    Every n reads row n of one triangle of size nmax, and its falling
+    factorial and powers from one list each; `defining_first` and
+    `defining_second` return the pair at n = nmax.
+    """
+    if ell < 0 or nmax < 0:
         raise ValueError("ell and n must be >= 0")
     mode = params.qmode
-    w = whitney_first_triangle(params, n)
-    lhs = mode.of(params.m)**n * q_falling_factorial(ell, n, mode)
-    return lhs, mode.sum_of_products(list(zip(w.rows[n], powers(params.weight(ell), n))))
+    total = mode.sum_of_products
+    m, w = mode.of(params.m), params.weight(ell)
+    falling = q_falling_factorials(ell, nmax, mode)
+    if kind == "first":
+        wpow = powers(w, nmax)
+        for n, row in enumerate(whitney_first_triangle(params, nmax).rows):
+            yield m**n * falling[n], total(list(zip(row, wpow)))
+    else:
+        mpow = powers(m, nmax)
+        for n, row in enumerate(whitney_second_triangle(params, nmax).rows):
+            yield w**n, total(list(zip(mpow, row, falling)))
+
+
+def defining_first(params: WhitneyParams, ell: int, n: int) -> tuple[Scalar, Scalar]:
+    """First kind, as (lhs, rhs): m^n [ell]_q ... [ell-n+1]_q = sum_k w(n,k) (m[ell]_q + r)^k."""
+    *_, sides = defining_sides("first", params, ell, n)
+    return sides
 
 
 def defining_second(params: WhitneyParams, ell: int, n: int) -> tuple[Scalar, Scalar]:
     """Second kind, as (lhs, rhs): (m[ell]_q + r)^n = sum_k m^k W(n,k) [ell]_q ... [ell-k+1]_q."""
-    if ell < 0 or n < 0:
-        raise ValueError("ell and n must be >= 0")
-    mode = params.qmode
-    W = whitney_second_triangle(params, n)
-    lhs = params.weight(ell)**n
-    falling = q_falling_factorials(ell, n, mode)
-    return lhs, mode.sum_of_products(list(zip(powers(mode.of(params.m), n), W.rows[n], falling)))
+    *_, sides = defining_sides("second", params, ell, n)
+    return sides
 
 
 def defining_relation_check(params: WhitneyParams, ell: int, n: int) -> list[IdentityReport]:

@@ -246,6 +246,22 @@ def test_verify_count_table_without_report_is_pinned(capsys):
         "edca9e747b4aecc3c6a0d1f89a3e9ffeccd097fac03ed369ec2800a239a6c5d5")
 
 
+def test_convolutions_above_the_heavy_cap_are_pinned(tmp_path, capsys):
+    # At nmax 12 the convolutions stop at HEAVY_CAP = 10 and read each shifted
+    # triangle to fewer rows than the cap; recorded when every shifted
+    # triangle was built to the cap.
+    report = tmp_path / "reports.jsonl"
+    code, out, err = run(capsys, "verify", "--suite",
+                         "convo_first_a,convo_first_b,convo_second_a,convo_second_b",
+                         "--nmax", "12", "--q", "-1/2", "--report", str(report))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "PASS\t14256\t0"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1d793046815e4844490ae5d6780378b78972bce7d6f9413fc0268e9c9a6a668d")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "8debba1ae98bc2ae05bb884bad5ca8c6df98bd7d60101604f74502b247ef5753")
+
+
 @pytest.mark.parametrize("argv, digest", [
     (("table", "--kind", "first", "--nmax", "12", "--m", "3/2", "--r", "5/2", "--q", "symbolic"),
      "62797baa52933dd866532143940cac8a9513b580e040b7e846872c89b76ff823"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwhitney import identities
+from qwhitney import identities, whitney
 from qwhitney.errors import (
     IncompatibleModeError,
     InsufficientSequenceError,
@@ -30,7 +30,10 @@ from qwhitney.laurent import ZERO, LaurentPoly, q_monomial
 from qwhitney.modes import SYMBOLIC, FloatQ, RationalQ, canonical_text
 from qwhitney.whitney import (
     WhitneyParams,
+    defining_first,
     defining_relation_check,
+    defining_second,
+    dowling_polynomial,
     dowling_sequence,
     whitney_first_triangle,
 )
@@ -318,6 +321,117 @@ FUSED_FLOAT_SHA256 = {
 def test_fused_float_sums_are_pinned(q, identity):
     side = "lhs" if identity is IdentityId.ORTHOGONALITY else "rhs"
     assert _rhs_digest(q, identity, side) == FUSED_FLOAT_SHA256[q, identity]
+
+
+#: sha256 of the canonical-text left sides at (3/2, 5/2), nmax 6, recorded when
+#: privault_q summed each Dowling polynomial from its own size-n triangle,
+#: genfunc_second subtracted one product at a time and the defining relations
+#: built one triangle per n; reading every row of one triangle, and summing
+#: genfunc_second once per coefficient, must give the same text.
+LHS_SHA256 = {
+    ("symbolic", IdentityId.PRIVAULT_Q):
+        "c41a3b389a539b9b611ee2b234edb50221d2570818239cfb40657f3ffa0cb0bc",
+    ("1/2", IdentityId.PRIVAULT_Q):
+        "c0b3c2286baa492c777fbb4a2a75f57bb61181e645c366ad1d372279188903ec",
+    ("-1/2", IdentityId.PRIVAULT_Q):
+        "cb7bdfd816ee2756eab3bae54794d39a501214dbf34e0e598ec8a0529f4e761a",
+    ("0.5", IdentityId.PRIVAULT_Q):
+        "dcb97b39d0bff8048f940d39fe3b537f38090d4a893c6bea09cfc1552d11a359",
+    ("-0.5", IdentityId.PRIVAULT_Q):
+        "ca2227e1d4d7468e9a357a6468045968b10dfc793e0f86bcfcb6f8b62be5acbd",
+    ("symbolic", IdentityId.GENFUNC_SECOND):
+        "d6b201580e9bdb6ce5f522da17c80957e2a69d54b3e76eb8ec51c898cf94d999",
+    ("1/2", IdentityId.GENFUNC_SECOND):
+        "a2a000d050b84adc328adfed19e33dbb743bb65a5f8d3ace5c84a3638ba3699b",
+    ("-1/2", IdentityId.GENFUNC_SECOND):
+        "fec932124e3bdf19210d3906ad563d8062264bf5fd6ae84a9b17c3430bec9ff3",
+    ("symbolic", IdentityId.DEFINING_FIRST):
+        "2c4bf8dc60f8f336f451f8d4311cb0f4adbc25a5652afc8f0e7d7ddab5bcdbcf",
+    ("1/2", IdentityId.DEFINING_FIRST):
+        "9ad69d8a59beab55fa5b792043d1bff0292c9ea4317cab457640756dd1b20d54",
+    ("-1/2", IdentityId.DEFINING_FIRST):
+        "371854e997d49c60b93841521420de240d87ffe708000cec4ebb50f665dfdffa",
+    ("0.5", IdentityId.DEFINING_FIRST):
+        "91d2135dd49966bf2b32d59f6c2e01602ec297b85cf77014b4023cc13918265c",
+    ("-0.5", IdentityId.DEFINING_FIRST):
+        "221b0ef6c24239b787b3414674d53ea4703ba3a18374ab59c6903c8d45a18286",
+    ("symbolic", IdentityId.DEFINING_SECOND):
+        "2943e24edbcf503bebe3bb8297fe2e88dcc42f10fbd53b2bc060fec3f8517bcd",
+    ("1/2", IdentityId.DEFINING_SECOND):
+        "beb72b417685935c489f8e4431c151ce6e095f108051487f17eab3bae826c383",
+    ("-1/2", IdentityId.DEFINING_SECOND):
+        "c787e752423441ec25d85741a28546313f783fa82e18d01841a2b13c417456dd",
+    ("0.5", IdentityId.DEFINING_SECOND):
+        "3b44ea3a32be9c202414f57a231c6d6e88b28a39cec29a4bf8987c4f16ea820c",
+    ("-0.5", IdentityId.DEFINING_SECOND):
+        "976520fcf41a49a0bbd9c8c067d5161b1eef465ac7aab9a8d5cb4f0d0918bba3",
+}
+
+
+@pytest.mark.parametrize("q, identity", list(LHS_SHA256))
+def test_left_sides_are_pinned(q, identity):
+    assert _rhs_digest(q, identity, "lhs") == LHS_SHA256[q, identity]
+
+
+def _bits(value):
+    """value itself in an exact mode; its exact bits, as .hex(), in float mode."""
+    return value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("mode", [SYMBOLIC, RationalQ(Fraction(1, 2)), RationalQ(Fraction(-1, 2)),
+                                  FloatQ(0.5), FloatQ(-0.5)],
+                         ids=["symbolic", "1/2", "-1/2", "float 0.5", "float -0.5"])
+def test_per_cell_functions_give_the_checkers_sides(mode):
+    # The checkers read rows of one triangle; the public per-cell functions
+    # build a triangle per n.  Both must give the same sides, bit for bit.
+    params = WhitneyParams(Fraction(3, 2), Fraction(5, 2), mode)
+    relations = {IdentityId.DEFINING_FIRST: (0, defining_first),
+                 IdentityId.DEFINING_SECOND: (1, defining_second)}
+    for identity, (pick, relation) in relations.items():
+        reports = verify(identity, params, 8)
+        assert len(reports) == (DEFINING_ELL_CAP + 1) * 9
+        for rep in reports:
+            ell, n = rep.point["ell"], rep.point["n"]
+            sides = [_bits(rep.lhs), _bits(rep.rhs)]
+            assert [_bits(side) for side in relation(params, ell, n)] == sides
+            check = defining_relation_check(params, ell, n)[pick]
+            assert [_bits(check.lhs), _bits(check.rhs)] == sides
+    reports = verify(IdentityId.PRIVAULT_Q, params, 8)
+    assert len(reports) == 9 * len(identities.PRIVAULT_X_VALUES)
+    for rep in reports:
+        x = Fraction(rep.point["x"])
+        assert _bits(rep.lhs) == _bits(dowling_polynomial(params, rep.point["n"], x))
+
+
+#: (nmax, triangles built of the (first, second) kind, cells built of each kind)
+#: by one `verify_all` at (3/2, 5/2) from cold row caches.  With one size-n
+#: triangle per defining and Dowling cell and every shifted triangle built to
+#: the cap, it was (26, 28) triangles and (1288, 1420) cells at q = 1/2, and
+#: (16, 18) and (273, 315) at symbolic q.
+TRIANGLE_BUILDS = {
+    "1/2": (10, (16, 18), (628, 760)),
+    "symbolic": (5, (11, 13), (168, 210)),
+}
+
+
+@pytest.mark.parametrize("q", list(TRIANGLE_BUILDS))
+def test_verify_all_builds_each_triangle_once(monkeypatch, q):
+    nmax, triangles, cells = TRIANGLE_BUILDS[q]
+    built = {"first": 0, "second": 0}
+    for name in ("_rows_integer", "_rows_recurrence"):
+        def counted(kind, params, size, shift, kernel=getattr(whitney, name)):
+            built[kind] += (size + 1) * (size + 2) // 2
+            return kernel(kind, params, size, shift)
+
+        monkeypatch.setattr(whitney, name, counted)
+    caches = (whitney._first_rows, whitney._second_rows)
+    for cache in caches:
+        cache.cache_clear()
+    mode = SYMBOLIC if q == "symbolic" else RationalQ(Fraction(q))
+    assert all(rep.passed for rep in
+               verify_all(WhitneyParams(Fraction(3, 2), Fraction(5, 2), mode), nmax))
+    assert tuple(cache.cache_info().misses for cache in caches) == triangles
+    assert (built["first"], built["second"]) == cells
 
 
 def test_boundary_trivial_at_nmax_zero():
