@@ -220,25 +220,33 @@ def run_verify(args) -> int:
         identities = list(IdentityId)
     else:
         identities = [identity_id(name.strip()) for name in args.suite.split(",")]
+        for i, identity in enumerate(identities):
+            if identity in identities[:i]:
+                raise DomainError(f"--suite: repeated identity {identity.value!r}")
     mode = parse_qmode(args.q)
     points = [WhitneyParams(m, r, mode) for m, r in _load_grid(args.grid)]
 
     failures = 0
-    checked = 0
+    total = 0
     first = None  # the first failing report, in count-table order
     stream = open(args.report, "w", encoding="utf-8") if args.report else None
     try:
         for identity in identities:
-            reports = []
+            checks = bad = 0
+            reports = []  # every report of the identity, built only for the stream
             for params in points:
-                reports.extend(verify(identity, params, args.nmax))
-            bad = sum(not rep.passed for rep in reports)
-            if bad and first is None:
-                first = next(rep for rep in reports if not rep.passed)
-            checked += len(reports)
+                result = verify(identity, params, args.nmax)
+                checks += len(result)
+                bad += len(result.failing)
+                if first is None and result.failing:
+                    first = result[result.failing[0]]
+                if stream is not None:
+                    reports.extend(result)
+                del result  # before the next point's checks are made
+            total += checks
             failures += bad
-            print(f"{identity.value}\t{len(reports)}\t{bad}")
-            if stream is not None and reports:
+            print(f"{identity.value}\t{checks}\t{bad}")
+            if reports:
                 # The count line does not depend on order; the stream does.
                 reports.sort(key=_report_order(reports))
                 for rep in reports:
@@ -246,7 +254,7 @@ def run_verify(args) -> int:
     finally:
         if stream is not None:
             stream.close()
-    print(f"{'PASS' if failures == 0 else 'FAIL'}\t{checked}\t{failures}")
+    print(f"{'PASS' if failures == 0 else 'FAIL'}\t{total}\t{failures}")
     if first is not None:
         print(f"qwhitney: first failure: {first.identity} at {json.dumps(first.point)}: "
               f"lhs - rhs = {canonical_text(first.lhs - first.rhs)}", file=sys.stderr)

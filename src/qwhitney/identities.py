@@ -4,7 +4,8 @@ Every identity in the catalogue compares a left side against an independently
 computed right side at explicit index/parameter points.  A new identity is a
 generator cells(params, nmax) that yields one (indices, lhs, rhs) per check,
 indices being a dict such as {"n": n, "k": k}; `_checker` turns its stream into
-one IdentityReport per check, each built and judged by `report.checked`.
+a `report.Checks`, which judges each check as it is made and builds a check's
+IdentityReport, through `report.checked`, only when it is read.
 
 The convolution identities internally use shifted parameter families: the
 summand triangles belong to (m q^s, m [s]_q + r) for a shift s derived from
@@ -32,7 +33,7 @@ from .errors import (
 from .modes import RationalQ, Scalar, divide_exact
 from .qcore import powers
 from .record import Record
-from .report import IdentityReport, checked
+from .report import Checks, IdentityReport
 from .whitney import (
     WhitneyParams,
     defining_sides,
@@ -83,11 +84,11 @@ DEFAULT_NMAX_CEILING = 12
 
 
 def _checker(identity: IdentityId, cells: Callable) -> Callable:
-    """The checker of identity: the list of reports of the cells(params, nmax) stream."""
+    """The checker of identity: the Checks of the cells(params, nmax) stream."""
     name = identity.value
 
     def check(params, nmax):
-        return [checked(name, params, *cell) for cell in cells(params, nmax)]
+        return Checks(name, params, list(cells(params, nmax)))
 
     return check
 
@@ -364,9 +365,12 @@ def identity_id(name) -> IdentityId:
         raise UnknownIdentityError(f"unknown identity {name!r}") from None
 
 
-def verify(identity, params: WhitneyParams,
-           nmax: int = DEFAULT_NMAX_CEILING) -> list[IdentityReport]:
-    """Check one identity at one parameter point over its index lattice."""
+def verify(identity, params: WhitneyParams, nmax: int = DEFAULT_NMAX_CEILING) -> Checks:
+    """Check one identity at one parameter point over its index lattice.
+
+    Each check is judged here; the result is a sequence of IdentityReport
+    whose reports are built when they are read, by indexing or iterating.
+    """
     identity = identity_id(identity)
     if nmax < 0:
         raise ValueError("nmax must be >= 0")

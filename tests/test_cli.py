@@ -171,6 +171,13 @@ def test_verify_unknown_suite(capsys):
     assert "nosuch" in err
 
 
+@pytest.mark.parametrize("suite", ["boundary,boundary", "boundary,orthogonality, boundary"])
+def test_verify_rejects_a_repeated_identity(capsys, suite):
+    # Run twice, a repeated identity would count each of its checks twice.
+    code, out, err = run(capsys, "verify", "--suite", suite, "--nmax", "1")
+    assert (code, out, err) == (2, "", "qwhitney: --suite: repeated identity 'boundary'\n")
+
+
 def test_verify_small_all_with_report(tmp_path, capsys):
     report = tmp_path / "reports.jsonl"
     code, out, _ = run(capsys, "verify", "--suite", "all", "--nmax", "3",

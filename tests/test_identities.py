@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwhitney import identities, whitney
+from qwhitney import identities, report, whitney
 from qwhitney.errors import (
     IncompatibleModeError,
     InsufficientSequenceError,
@@ -515,6 +515,61 @@ def test_verify_all_small():
     ids = {rep.identity for rep in reports}
     assert ids == {identity.value for identity in IdentityId}
     assert all(rep.passed for rep in reports)
+    assert type(reports) is list
+    assert reports == [rep for identity in IdentityId
+                       for rep in verify(identity, WhitneyParams(Fraction(2), Fraction(1)), 3)]
+
+
+PARITY_MODES = {"symbolic": SYMBOLIC, "1/2": RationalQ(Fraction(1, 2)),
+                "-1/2": RationalQ(Fraction(-1, 2)), "float 0.5": FloatQ(0.5),
+                "float 0.9": FloatQ(0.9)}
+
+
+def _assert_verdict_parity(identity, params, nmax) -> int:
+    """verify's judged checks against the reports `checked` builds from its cells;
+    returns the number of failing checks."""
+    result = verify(identity, params, nmax)
+    reports = list(result)
+    assert len(result) == len(reports) == len(result.cells)
+    assert result.failing == [i for i, rep in enumerate(reports) if not rep.passed]
+
+    def fields(reps):
+        return [(rep.identity, rep.point, _bits(rep.lhs), _bits(rep.rhs), rep.passed)
+                for rep in reps]
+
+    direct = [report.checked(identity.value, params, *cell) for cell in result.cells]
+    assert fields(reports) == fields(direct) == fields(result[:])
+    assert fields(result[i] for i in result.failing) == fields(
+        rep for rep in direct if not rep.passed)
+    return len(result.failing)
+
+
+def _parity_identities(mode):
+    return [identity for identity in IdentityId
+            if mode.is_exact or identity is not IdentityId.GENFUNC_SECOND]
+
+
+@pytest.mark.parametrize("mode", list(PARITY_MODES.values()), ids=list(PARITY_MODES))
+def test_judged_checks_match_their_reports(mode):
+    params = WhitneyParams(Fraction(3, 2), Fraction(5, 2), mode)
+    for nmax in range(7):
+        for identity in _parity_identities(mode):
+            assert _assert_verdict_parity(identity, params, nmax) == 0
+
+
+@pytest.mark.parametrize("mode", list(PARITY_MODES.values()), ids=list(PARITY_MODES))
+def test_judged_failures_match_their_reports(corrupt_rows, mode):
+    corrupt_rows("second")
+    params = WhitneyParams(Fraction(3, 2), Fraction(5, 2), mode)
+    assert sum(_assert_verdict_parity(identity, params, 4)
+               for identity in _parity_identities(mode)) > 0
+
+
+def test_judged_rounding_failures_match_their_reports():
+    # At q = 0.9 rounding alone fails some orthogonality and defining_first checks.
+    params = WhitneyParams(Fraction(3, 2), Fraction(5, 2), FloatQ(0.9))
+    assert sum(_assert_verdict_parity(identity, params, 10)
+               for identity in _parity_identities(params.qmode)) == 58
 
 
 def test_default_grid_contents():

@@ -5,18 +5,20 @@ of the Whitney step table or one constant, bound in place with monkeypatch.
 A test checks that the mutant changes a value, then that `verify --suite all`
 exits 1 in the mode whose path the mutant sits on, or, for the q-distribution
 layer, that `dist --op moments` exits 1 for the family it touches, or, for
-the batch sampler, that `dist --op sample` exits 1.  The triangle
-and q-polynomial caches are cleared around each test, so no value built
-under a mutant outlives it.
+the batch sampler, that `dist --op sample` exits 1.  Under a step-table
+fault, two more tests count the reports a failing `verify` builds and pin
+its outputs.  The triangle and q-polynomial caches are cleared around each
+test, so no value built under a mutant outlives it.
 """
 
+import hashlib
 import inspect
 import sys
 from fractions import Fraction
 
 import pytest
 
-from qwhitney import cli, laurent, qcore, qdist, whitney
+from qwhitney import cli, laurent, qcore, qdist, report, whitney
 from qwhitney.laurent import LaurentPoly, q_monomial
 from qwhitney.modes import SYMBOLIC, RationalQ
 from qwhitney.qdist import QDistSpec
@@ -112,14 +114,20 @@ STEP_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("name", list(STEP_FAULTS))
-def test_step_table_fault(monkeypatch, capsys, name):
+def _step_fault(monkeypatch, name):
+    """Plant STEP_FAULTS[name] in whitney._STEPS."""
     kind, field, fault = STEP_FAULTS[name]
-    modes = (SYMBOLIC, RationalQ(Fraction(1, 2)))
-    before = [_rows(kind, mode) for mode in modes]
     step = list(whitney._STEPS[kind])
     step[field] = fault
     monkeypatch.setitem(whitney._STEPS, kind, tuple(step))
+
+
+@pytest.mark.parametrize("name", list(STEP_FAULTS))
+def test_step_table_fault(monkeypatch, capsys, name):
+    kind = STEP_FAULTS[name][0]
+    modes = (SYMBOLIC, RationalQ(Fraction(1, 2)))
+    before = [_rows(kind, mode) for mode in modes]
+    _step_fault(monkeypatch, name)
     after = [_rows(kind, mode) for mode in modes]
     assert after[0] != before[0] and after[1] != before[1]
     assert _verify_exit(capsys) == 1
@@ -130,16 +138,67 @@ def test_verify_names_the_first_failure(monkeypatch, capsys):
     assert cli.main(VERIFY_HALF) == 0
     assert capsys.readouterr().err == ""
     whitney._first_rows.cache_clear()
-    kind, field, fault = STEP_FAULTS["first row power"]
-    step = list(whitney._STEPS[kind])
-    step[field] = fault
-    monkeypatch.setitem(whitney._STEPS, kind, tuple(step))
+    _step_fault(monkeypatch, "first row power")
     assert cli.main(VERIFY_HALF) == 1
     out, err = capsys.readouterr()
     assert out.splitlines()[-1].startswith("FAIL\t") and "first failure" not in out
     # The first failure in count-table order: identity, grid point, then the checker's order.
     assert err == ('qwhitney: first failure: vertical_first at {"m": "1", "r": "0", '
                    '"qmode": "rational", "q0": "1/2", "n": 0, "k": 0}: lhs - rhs = -1/2\n')
+
+
+def _count_checked(monkeypatch) -> list:
+    """Wrap report.checked wherever a qwhitney module binds it; returns the list
+    of identities it is called for."""
+    calls = []
+
+    def counted(identity, *args):
+        calls.append(identity)
+        return original(identity, *args)
+
+    original = report.checked
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qwhitney" and vars(module).get("checked") is original:
+            monkeypatch.setattr(module, "checked", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fault", [None, "first row power"], ids=["clean", "faulty"])
+def test_verify_builds_a_report_only_for_the_first_failure(monkeypatch, capsys, fault):
+    if fault is not None:
+        _step_fault(monkeypatch, fault)
+    code = cli.main(VERIFY)
+    expected = capsys.readouterr()
+    assert code == (0 if fault is None else 1)
+    whitney._first_rows.cache_clear()
+    calls = _count_checked(monkeypatch)
+    assert cli.main(VERIFY) == code
+    assert capsys.readouterr() == expected
+    assert calls == ([] if fault is None else ["vertical_first"])
+
+
+#: sha256 of stdout, of the stderr line and of the --report stream of `verify
+#: --suite all --nmax 4 --q 1/2` under the "first row power" fault, recorded
+#: when `verify` built every report of every check.
+FAILING_REPORTS_SHA256 = {
+    "stdout": "fc085ed223abed8788969e49bbde3206f0f53ea83d970047c0ff25238eba9051",
+    "stderr": "56d6665a76e6c1cef1f92b84512939fdf5e00e9c00d0c1a39f580e625b6b794f",
+    "report": "332edb8e27a0c2e8a4bb824fe6deacd1cbf3cbfe8af8e365ee3c890348212cf8",
+}
+
+
+def test_failing_reports_are_pinned(monkeypatch, capsys, tmp_path):
+    _step_fault(monkeypatch, "first row power")
+    stream = tmp_path / "reports.jsonl"
+    code = cli.main(["verify", "--suite", "all", "--nmax", "4", "--q", "1/2",
+                     "--report", str(stream)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out.endswith("FAIL\t4680\t899\n")
+    assert err.startswith("qwhitney: first failure: vertical_first at ") and err.count("\n") == 1
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in (("stdout", out.encode()), ("stderr", err.encode()),
+                                  ("report", stream.read_bytes()))}
+    assert digests == FAILING_REPORTS_SHA256
 
 
 def test_integer_kernel_weight_index_off_by_one(monkeypatch, capsys):
