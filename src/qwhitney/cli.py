@@ -8,8 +8,9 @@ Subcommands:
     hankel   compare Hankel transforms of Dowling sequences across r values
 
 Exit codes: 0 success / all checks pass, 1 a verified violation, 2 bad
-arguments or domain errors.  Rationals are written `p`, `-p`, or `p/q` with
-q > 0; floats are printed with 17 significant digits.
+arguments or domain errors, 3 an internal error (its traceback goes to
+stderr).  Rationals are written `p`, `-p`, or `p/q` with q > 0; floats are
+printed with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -64,9 +65,18 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _repeat(items: list):
+    """The first entry of items equal to an earlier one, or None."""
+    return next((item for i, item in enumerate(items) if item in items[:i]), None)
+
+
 def _rationals(text: str) -> list[Fraction]:
-    """A comma-separated list of rationals, each read by `_rational`."""
-    return [_rational(tok) for tok in text.split(",")]
+    """A comma-separated list of distinct rationals, each read by `_rational`."""
+    values = [_rational(tok) for tok in text.split(",")]
+    repeat = _repeat(values)
+    if repeat is not None:
+        raise argparse.ArgumentTypeError(f"repeated value {repeat} in {text!r}")
+    return values
 
 
 def _qmode_text(text: str) -> str:
@@ -200,9 +210,13 @@ def _load_grid(source: str) -> list[tuple[Fraction, Fraction]]:
     if not raw:
         raise DomainError(f"--grid {source}: no [m, r] pairs, so nothing to verify")
     try:
-        return [(_rational(str(m)), _rational(str(r))) for m, r in raw]
+        grid = [(_rational(str(m)), _rational(str(r))) for m, r in raw]
     except argparse.ArgumentTypeError as exc:
         raise DomainError(f"--grid {source}: {exc}") from None
+    repeat = _repeat(grid)
+    if repeat is not None:
+        raise DomainError(f"--grid {source}: repeated [m, r] pair [{repeat[0]}, {repeat[1]}]")
+    return grid
 
 
 def _report_order(reports: list):
@@ -220,9 +234,9 @@ def run_verify(args) -> int:
         identities = list(IdentityId)
     else:
         identities = [identity_id(name.strip()) for name in args.suite.split(",")]
-        for i, identity in enumerate(identities):
-            if identity in identities[:i]:
-                raise DomainError(f"--suite: repeated identity {identity.value!r}")
+        repeat = _repeat(identities)
+        if repeat is not None:
+            raise DomainError(f"--suite: repeated identity {repeat.value!r}")
     mode = parse_qmode(args.q)
     points = [WhitneyParams(m, r, mode) for m, r in _load_grid(args.grid)]
 
@@ -365,6 +379,11 @@ def main(argv=None) -> int:
         except (QWhitneyError, ValueError, ZeroDivisionError, OSError) as exc:
             print(f"qwhitney: {exc}", file=sys.stderr)
             return 2
+        except Exception:
+            import traceback  # here, not at the top: it would slow every start-up
+            traceback.print_exc()
+            print("qwhitney: internal error", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

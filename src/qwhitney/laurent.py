@@ -11,12 +11,12 @@ The ring operations run on ints alone (content and primitive part, Knuth,
 TAOCP vol. 2, section 4.6.1), and each is one fused sum: `sum_of_products`
 adds int products of factors over their common denominator, and one
 variadic gcd restores the form.  a + b sums the terms (a,) and (b,), a - b
-the terms (a,) and (-1, b), a * b the one term (a, b), -a the term (-1, a).
-Division and negative powers go through `exact_div` (p ** -n is 1 exact_div
-p ** n); `==` and `/` take an int or Fraction via `_coerce`.  `coeffs` is
-derived on demand for readers that want rational coefficients: `int` where a
-coefficient is integral, a reduced `fractions.Fraction` otherwise.  All
-operations are pure.
+the terms (a,) and (-1, b), a * b the one term (a, b), -a the term (-1, a),
+p ** n the one term (1, p, ..., p).  Division and negative powers go through
+`exact_div` (p ** -n is 1 exact_div p ** n); `==` and `/` take an int or
+Fraction via `_coerce`.  `coeffs` is derived on demand for readers that want
+rational coefficients: `int` where a coefficient is integral, a reduced
+`fractions.Fraction` otherwise.  All operations are pure.
 
 The canonical text form lists terms by ascending exponent as
 ``<num>/<den>*q^<exp>`` joined by `` + ``, omitting ``/<den>`` when the
@@ -165,15 +165,7 @@ class LaurentPoly:
             return NotImplemented
         if n < 0:
             return ONE.exact_div(self ** -n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return sum_of_products(((ONE,) + (self,) * n,))
 
     def exact_div(self, other) -> "LaurentPoly":
         """Exact quotient c with c*other == self, other a LaurentPoly, int or Fraction.

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwhitney import cli, qdist
+from qwhitney import cli, identities, qdist
 from qwhitney.cli import main, parse_table_document, render_table_csv, table_document
 from qwhitney.errors import InexactDivisionError
 from qwhitney.modes import RationalQ
@@ -308,6 +308,35 @@ def test_verify_reads_grid_entries_as_rationals(tmp_path, capsys, entry, text):
                          "--grid", str(path))
     assert (code, out) == (2, "")
     assert err == f"qwhitney: --grid {path}: not a rational: {text!r}\n"
+
+
+def test_verify_rejects_a_repeated_grid_point(tmp_path, capsys):
+    # Points are compared as parsed rationals, so "2/2" repeats 1 and "0/5" repeats 0.
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps([[1, 0], ["3/2", "5/2"], ["2/2", "0/5"]]))
+    code, out, err = run(capsys, "verify", "--suite", "boundary", "--nmax", "1",
+                         "--grid", str(path))
+    assert (code, out, err) == (2, "", f"qwhitney: --grid {path}: repeated [m, r] pair [1, 0]\n")
+
+
+@pytest.mark.parametrize("values, repeat", [("0,0", "0"), ("0,1,0/3", "0"), ("1/2,2/4", "1/2")])
+def test_hankel_rejects_a_repeated_r_value(capsys, values, repeat):
+    code, out, err = run(capsys, "hankel", "--m", "1", "--r-values", values,
+                         "--q", "1/2", "--order", "2")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument --r-values: repeated value {repeat} in {values!r}\n")
+
+
+def test_internal_fault_exits_three_with_its_traceback(capsys, monkeypatch):
+    # Exit 1 means a check found a violation, and exit 2 a usage or domain error.
+    def broken(params, nmax):
+        raise TypeError("checker fault")
+
+    monkeypatch.setitem(identities._CHECKERS, identities.IdentityId.BOUNDARY, broken)
+    code, out, err = run(capsys, "verify", "--suite", "boundary", "--nmax", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("TypeError: checker fault\nqwhitney: internal error\n")
 
 
 def test_verify_violation_exits_one(tmp_path, capsys, corrupt_rows):
@@ -616,8 +645,6 @@ def test_hankel_rows_agree_for_any_rational_r(capsys):
 def test_hankel_degenerate_sequence_takes_the_zero_pivot_fallback(capsys, monkeypatch):
     # lambda_1 = m + q - 1 = 0 here, so the second leading minor vanishes and
     # every larger size is eliminated on its own by `_det_fraction_free`.
-    from qwhitney import identities
-
     sizes = []
     det = identities._det_fraction_free
 

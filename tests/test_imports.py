@@ -4,10 +4,12 @@ Each module uses only the public names of the other package modules, and
 the pmf walk's mass floor, the series tolerance, the series term cap and
 the Laurent division-by-zero error are each written in one place, as are
 the Laurent convolution and normal form and the identity pass/fail rule.
+The package imports nothing outside the standard library.
 """
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -98,6 +100,7 @@ def test_every_laurent_ring_result_is_normalised_in_one_place():
     laurent = PACKAGE / "laurent.py"
     assert _callers(laurent, "_convolve") == ["sum_of_products"]
     assert _callers(laurent, "_fill") == ["__init__", "_from_ints", "sum_of_products"]
+    assert "__pow__" in _callers(laurent, "sum_of_products")
 
 
 def test_every_identity_report_is_built_by_the_one_pass_fail_rule():
@@ -112,3 +115,27 @@ def test_the_float_tolerance_is_assigned_in_one_module():
                       and isinstance(node.ctx, ast.Store)
                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))]
     assert holders == ["report.py"]
+
+
+def _absolute_imports(path: pathlib.Path) -> list[str]:
+    """Top-level names of the modules that path imports absolutely, anywhere in it."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_the_runtime_imports_only_the_standard_library(path):
+    assert [name for name in _absolute_imports(path)
+            if name not in sys.stdlib_module_names] == []
+
+
+def test_the_import_scan_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import os.path, json\nfrom . import qcore\nfrom sympy import Poly\n"
+                     "def f():\n    import numpy as np\n", encoding="utf-8")
+    assert _absolute_imports(probe) == ["os", "json", "sympy", "numpy"]

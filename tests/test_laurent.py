@@ -63,6 +63,8 @@ def test_division_by_rational():
 def test_pow():
     assert (Q + 1) ** 0 == ONE
     assert (Q + 1) ** 2 == Q * Q + 2 * Q + 1
+    assert ZERO ** 0 == ONE
+    assert ZERO ** 3 == ZERO
     assert q_monomial(2, 3) ** -1 == q_monomial(-2, Fraction(1, 3))
     with pytest.raises(InexactDivisionError):
         (Q + 1) ** -1
@@ -217,7 +219,7 @@ def test_ring_ops_match_sympy(sp, a, b, s):
 
 
 @settings(max_examples=60)
-@given(polys, st.integers(min_value=0, max_value=4))
+@given(polys, st.integers(min_value=0, max_value=12))  # up to the catalogue's nmax ceiling
 def test_pow_matches_sympy(sp, a, n):
     result = a**n
     _assert_primitive_form(result)

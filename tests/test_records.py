@@ -40,6 +40,11 @@ def test_cli_import_loads_no_dataclasses_typing_or_inspect():
     assert _loaded_by_cli_import({"dataclasses", "typing", "inspect"}) == "[]"
 
 
+def test_cli_import_loads_no_traceback():
+    # Only an internal error (exit 3) needs it, so `main` imports it there.
+    assert _loaded_by_cli_import({"traceback"}) == "[]"
+
+
 def test_cli_import_loads_no_array_or_struct():
     # The sampler works on bytes and ints; neither module may add to cold start.
     assert _loaded_by_cli_import({"array", "struct", "_struct"}) == "[]"
