@@ -7,16 +7,18 @@ form is normalised: neither end of `nums` is zero and
 gcd(den, *nums) == 1; the zero polynomial is (0, (), 1).  Being canonical,
 equality is a tuple comparison.
 
-The ring operations run on ints alone (content and primitive part, Knuth,
-TAOCP vol. 2, section 4.6.1), and each is one fused sum: `sum_of_products`
-adds int products of factors over their common denominator, and one
-variadic gcd restores the form.  a + b sums the terms (a,) and (b,), a - b
-the terms (a,) and (-1, b), a * b the one term (a, b), -a the term (-1, a),
-p ** n the one term (1, p, ..., p).  Division and negative powers go through
-`exact_div` (p ** -n is 1 exact_div p ** n); `==` and `/` take an int or
-Fraction via `_coerce`.  `coeffs` is derived on demand for readers that want
-rational coefficients: `int` where a coefficient is integral, a reduced
-`fractions.Fraction` otherwise.  All operations are pure.
+The ring operations, division and rational evaluation all run on ints
+(content and primitive part, Knuth, TAOCP vol. 2, section 4.6.1).  Each ring
+operation is one fused sum: `sum_of_products` adds int products of factors
+over their common denominator, and one variadic gcd restores the form.
+a + b sums the terms (a,) and (b,), a - b the terms (a,) and (-1, b), a * b
+the one term (a, b), -a the term (-1, a), p ** n the one term (1, p, ..., p).
+`exact_div` long-divides primitive parts, as an exact quotient of those has
+int digits (Gauss's lemma), and p ** -n is 1 exact_div p ** n; `evaluate` at
+q0 = a/b runs Horner's rule on a and b.  `==` and `/` take an int or
+Fraction via `_coerce`; `coeffs` gives rational coefficients on demand,
+`int` where integral and a reduced `fractions.Fraction` otherwise.  All
+operations are pure.
 
 The canonical text form lists terms by ascending exponent as
 ``<num>/<den>*q^<exp>`` joined by `` + ``, omitting ``/<den>`` when the
@@ -178,26 +180,21 @@ class LaurentPoly:
             raise ZeroDivisionError("Laurent division by zero")
         if not self.nums:
             return ZERO
-        # self / other = (nums / other.nums) * (other.den / self.den)
-        rem = list(self.nums)
-        div = other.nums
-        nq = len(rem) - len(div) + 1
-        if nq <= 0:
+        ca, cb = gcd(*self.nums), gcd(*other.nums)
+        rem, div = [c // ca for c in self.nums], [c // cb for c in other.nums]
+        n, lead = len(div) - 1, div[-1]
+        # Digits replace rem from the top, leaving the remainder in rem[:n].
+        for i in range(len(rem) - 1 - n, -1, -1):
+            f, r = divmod(rem[i + n], lead)
+            if r:
+                raise InexactDivisionError(f"{self} is not divisible by {other}")
+            for j, d in enumerate(div, i):
+                rem[j] -= f * d
+            rem[i + n] = f
+        if any(rem[:n]):
             raise InexactDivisionError(f"{self} is not divisible by {other}")
-        lead = div[-1]
-        quo = [0] * nq
-        for i in range(nq - 1, -1, -1):
-            c = rem[i + len(div) - 1]
-            if c:
-                f = Fraction(c, lead)
-                quo[i] = f
-                for j, d in enumerate(div):
-                    if d:
-                        rem[i + j] -= f * d
-        if any(rem[: len(div) - 1]):
-            raise InexactDivisionError(f"{self} is not divisible by {other}")
-        scale = Fraction(other.den, self.den)
-        return LaurentPoly(self.val - other.val, [f * scale for f in quo])
+        return LaurentPoly._from_ints(  # (ca / cb) * quotient * (other.den / self.den)
+            self.val - other.val, [f * ca * other.den for f in rem[n:]], cb * self.den)
 
     def __truediv__(self, other):
         if isinstance(other, (LaurentPoly, int, Fraction)):
@@ -222,9 +219,12 @@ class LaurentPoly:
             return self.coefficient(0) + q0 * 0
         acc = 0
         if isinstance(q0, Fraction):
-            for c in reversed(nums):
-                acc = acc * q0 + c
-            return acc / den * q0**self.val
+            a, b, scale = q0.numerator, q0.denominator, 1
+            for c in reversed(nums):  # acc / scale is sum_i nums[i] * q0^i
+                scale *= b
+                acc = acc * a + c * scale
+            a, b, e = (a, b, self.val) if self.val >= 0 else (b, a, -self.val)
+            return Fraction(acc * a**e, den * scale * b**e)
         # Float q0: int true division rounds correctly, exactly as
         # float(Fraction(c, den)) does, so each step matches a Horner loop
         # over the rational coefficients bit for bit.

@@ -205,7 +205,7 @@ def parse_scalar(text: str, mode: QMode) -> Scalar:
 def divide_exact(num: Scalar, den: Scalar):
     """Division that is exact in exact modes and plain / on floats."""
     if isinstance(num, LaurentPoly) or isinstance(den, LaurentPoly):
-        return as_laurent(num).exact_div(as_laurent(den))
+        return as_laurent(num).exact_div(den)
     if isinstance(num, float) or isinstance(den, float):
         return num / den
     q = Fraction(num) / Fraction(den)

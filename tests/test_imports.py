@@ -101,6 +101,12 @@ def test_every_laurent_ring_result_is_normalised_in_one_place():
     assert _callers(laurent, "_convolve") == ["sum_of_products"]
     assert _callers(laurent, "_fill") == ["__init__", "_from_ints", "sum_of_products"]
     assert "__pow__" in _callers(laurent, "sum_of_products")
+    # Division returns through _from_ints, on ints: no rebuild through __init__'s lcm.
+    assert _callers(laurent, "LaurentPoly") == ["", "q_monomial"]
+    exact_div = next(node for node in ast.walk(ast.parse(laurent.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.FunctionDef) and node.name == "exact_div")
+    assert not any(isinstance(node, ast.Name) and node.id == "Fraction"
+                   for node in ast.walk(exact_div))
 
 
 def test_every_identity_report_is_built_by_the_one_pass_fail_rule():

@@ -14,6 +14,7 @@ from qwhitney.laurent import (
     parse_laurent,
     q_monomial,
 )
+from qwhitney.qcore import q_binomial
 
 Q = q_monomial(1)
 
@@ -58,6 +59,31 @@ def test_exact_div_examples():
 def test_division_by_rational():
     assert (Q * 3) / 3 == Q
     assert (Q + 1) / Fraction(1, 2) == 2 * Q + 2
+
+
+def test_exact_div_divides_primitive_parts():
+    # Content and denominators on both sides come back through the scale.
+    assert (6 * Q**2 - 6).exact_div(4 * Q - 4) == Fraction(3, 2) * (Q + 1)
+    assert (Q / 2 + Fraction(1, 3)).exact_div(3 * Q + 2) == Fraction(1, 6)
+    assert ZERO / (Q + 1) == ZERO
+    # A first digit that leaves a remainder, and a divisor longer than the dividend.
+    # Past a first digit's remainder, (q + 1)^2 / (2q + 1) would floor to a zero
+    # remainder, so the division must stop at that digit.
+    for a, b in ((Q**2 + 1, 2 * Q + 1), ((Q + 1) ** 2, 2 * Q + 1), (Q, Q**2 + 1)):
+        with pytest.raises(InexactDivisionError) as caught:
+            a.exact_div(b)
+        assert str(caught.value) == f"{a} is not divisible by {b}"
+
+
+@pytest.mark.parametrize("q0", [Fraction(3, 7), Fraction(-5, 2)])
+def test_evaluate_matches_a_fraction_horner_loop(q0):
+    binomial = q_binomial(20, 10)
+    for p in (binomial, binomial / (3 * q_monomial(7))):
+        acc = Fraction(0)
+        for c in reversed(p.coeffs):
+            acc = acc * q0 + c
+        value = p.evaluate(q0)
+        assert type(value) is Fraction and value == acc * q0**p.val
 
 
 def test_pow():

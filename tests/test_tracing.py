@@ -39,6 +39,8 @@ def test_traced_child_job(tmp_path, argv, span):
         assert counters["identities.checks"] == checked > 0
     if span.startswith("laurent."):
         assert counters["laurent.mul_coeff_products"] > 0
+        # q_power of a negative exponent divides; the exact_div_calls counter reads this span.
+        assert names.index("laurent.exact_div") in name_ix
     if "moments" in argv:
         assert counters["qdist.oracle_terms"] > 0
     if "sample" in argv:
