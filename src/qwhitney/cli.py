@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -29,6 +30,7 @@ from .errors import DomainError, QWhitneyError
 from .identities import (
     DEFAULT_GRID,
     IdentityId,
+    check_nmax,
     hankel_probe,
     identity_id,
     verify,
@@ -37,6 +39,7 @@ from .modes import SYMBOLIC, canonical_text, parse_qmode, parse_scalar
 from .qcore import TERM_CAP
 from .qdist import (MOMENT_NMAX, MOMENT_REL_TOL, QDistSpec, moment_pairs, pmf_walk,
                     sample_batches, sample_by_search)
+from .report import checked
 from .whitney import WhitneyParams, whitney_first_triangle, whitney_second_triangle
 
 FORMAT_VERSION = "1"
@@ -229,6 +232,112 @@ def _report_order(reports: list):
     return lambda rep: tuple(map(str, values(rep.point)))
 
 
+def _worker_count(points: int) -> int:
+    """The processes `verify` spreads its points over: one per CPU this process
+    may run on, at most one per point, and one where there is no os.fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(points, cpus)
+
+
+def _share_results(identity, points, share, nmax: int, full: bool) -> tuple:
+    """(entries, raised): one identity checked at the point indices in share.
+
+    An entry is (index, checks, failing, first failing cell or None, every
+    cell if full else None).  raised is None, or the index where `verify`
+    raised; the entries then stop before it.
+    """
+    entries = []
+    for i in share:
+        try:
+            result = verify(identity, points[i], nmax)
+        except Exception:
+            return entries, i
+        failing = result.failing
+        entries.append((i, len(result), len(failing),
+                        result.cells[failing[0]] if failing else None,
+                        result.cells if full else None))
+        del result, failing  # before the next point's checks are made
+    return entries, None
+
+
+def _serve(out, identities, points, share, nmax: int, full: bool):
+    """A worker's work: one pickled `_share_results` frame per identity to the
+    binary file out, up to the first frame that raised."""
+    import pickle
+
+    for identity in identities:
+        frame = _share_results(identity, points, share, nmax, full)
+        pickle.dump(frame, out)
+        out.flush()
+        if frame[1] is not None:
+            return
+
+
+def _spread(identities, points, nmax: int, full: bool):
+    """Yield (identity, entries of every point in point order), identity by identity.
+
+    The points are shared out over `_worker_count` processes: this one checks
+    points[0::N], and a forked worker (see `_serve`) each other share.  A
+    worker never returns: the caller's output and exit handlers run once, in
+    this process.  If `verify` raised anywhere, the first raising point in
+    point order is checked again here, so the exception and its traceback are
+    a one-process run's.  Closing the generator kills and reaps every worker.
+    The package starts no threads, so a forked worker inherits no held lock.
+    """
+    import pickle
+    import signal
+
+    n = _worker_count(len(points))
+    shares = [range(w, len(points), n) for w in range(n)]
+    pids, pipes = [], []
+    try:
+        for share in shares[1:]:
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: this one takes the shares left
+                os.close(rfd)
+                os.close(wfd)
+                break
+            if pid == 0:  # a worker leaves through os._exit, never into the caller
+                try:
+                    os.close(rfd)
+                    with open(wfd, "wb") as out:
+                        _serve(out, identities, points, share, nmax, full)
+                finally:
+                    os._exit(0)
+            os.close(wfd)
+            pids.append(pid)
+            pipes.append(open(rfd, "rb"))
+        own = sorted(chain(shares[0], *shares[1 + len(pids):]))
+        for identity in identities:
+            frames = [_share_results(identity, points, own, nmax, full)]
+            try:
+                frames += [pickle.load(pipe) for pipe in pipes]
+            except EOFError:
+                raise RuntimeError("a verify worker process ended early") from None
+            raised = [i for _, i in frames if i is not None]
+            if raised:
+                verify(identity, points[min(raised)], nmax)
+                raise RuntimeError(f"verify raised at {identity.value} in a worker process, "
+                                   "but not when checked again")
+            entries = sorted(chain.from_iterable(frame[0] for frame in frames), key=itemgetter(0))
+            del frames
+            yield identity, entries
+            del entries  # before the next identity's checks are made
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
 def run_verify(args) -> int:
     if args.suite == "all":
         identities = list(IdentityId)
@@ -244,19 +353,19 @@ def run_verify(args) -> int:
     total = 0
     first = None  # the first failing report, in count-table order
     stream = open(args.report, "w", encoding="utf-8") if args.report else None
+    results = _spread(identities, points, args.nmax, stream is not None)
     try:
-        for identity in identities:
+        check_nmax(args.nmax)  # before any worker is forked
+        for identity, entries in results:
             checks = bad = 0
             reports = []  # every report of the identity, built only for the stream
-            for params in points:
-                result = verify(identity, params, args.nmax)
-                checks += len(result)
-                bad += len(result.failing)
-                if first is None and result.failing:
-                    first = result[result.failing[0]]
-                if stream is not None:
-                    reports.extend(result)
-                del result  # before the next point's checks are made
+            for i, point_checks, point_bad, first_cell, cells in entries:
+                checks += point_checks
+                bad += point_bad
+                if first is None and first_cell is not None:
+                    first = checked(identity.value, points[i], *first_cell)
+                if cells is not None:
+                    reports += [checked(identity.value, points[i], *cell) for cell in cells]
             total += checks
             failures += bad
             print(f"{identity.value}\t{checks}\t{bad}")
@@ -265,7 +374,9 @@ def run_verify(args) -> int:
                 reports.sort(key=_report_order(reports))
                 for rep in reports:
                     stream.write(json.dumps(rep.as_json_dict()) + "\n")
+            del entries, reports  # before the next identity's checks are made
     finally:
+        results.close()
         if stream is not None:
             stream.close()
     print(f"{'PASS' if failures == 0 else 'FAIL'}\t{total}\t{failures}")

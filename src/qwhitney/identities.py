@@ -365,6 +365,14 @@ def identity_id(name) -> IdentityId:
         raise UnknownIdentityError(f"unknown identity {name!r}") from None
 
 
+def check_nmax(nmax: int) -> None:
+    """ValueError unless 0 <= nmax <= DEFAULT_NMAX_CEILING, the range `verify` takes."""
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
+    if nmax > DEFAULT_NMAX_CEILING:
+        raise ValueError(f"nmax {nmax} exceeds the ceiling {DEFAULT_NMAX_CEILING}")
+
+
 def verify(identity, params: WhitneyParams, nmax: int = DEFAULT_NMAX_CEILING) -> Checks:
     """Check one identity at one parameter point over its index lattice.
 
@@ -372,10 +380,7 @@ def verify(identity, params: WhitneyParams, nmax: int = DEFAULT_NMAX_CEILING) ->
     whose reports are built when they are read, by indexing or iterating.
     """
     identity = identity_id(identity)
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    if nmax > DEFAULT_NMAX_CEILING:
-        raise ValueError(f"nmax {nmax} exceeds the ceiling {DEFAULT_NMAX_CEILING}")
+    check_nmax(nmax)
     return _CHECKERS[identity](params, nmax)
 
 

@@ -45,6 +45,11 @@ def test_cli_import_loads_no_traceback():
     assert _loaded_by_cli_import({"traceback"}) == "[]"
 
 
+def test_cli_import_loads_no_pickle_multiprocessing_or_concurrent():
+    # `verify` forks its workers itself and imports pickle only when it runs.
+    assert _loaded_by_cli_import({"pickle", "multiprocessing", "concurrent"}) == "[]"
+
+
 def test_cli_import_loads_no_array_or_struct():
     # The sampler works on bytes and ints; neither module may add to cold start.
     assert _loaded_by_cli_import({"array", "struct", "_struct"}) == "[]"

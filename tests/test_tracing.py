@@ -2,6 +2,7 @@
 subcommand, and a symbolic `verify` for the Laurent layer, checks that those
 names still exist and that their spans and counters are recorded."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -11,6 +12,13 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 import tracing  # noqa: E402
+
+
+def _one_cpu():
+    """Pin the child to one CPU.  `verify` then checks every point in the one
+    process that the recorder traces; with more CPUs it forks workers whose
+    spans and counters are not recorded."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 @pytest.mark.parametrize("argv, span", [
@@ -29,7 +37,8 @@ def test_traced_child_job(tmp_path, argv, span):
     prefix = tmp_path / "trace"
     proc = subprocess.run([sys.executable, "-I", "-S", str(ROOT / "bench" / "child.py"),
                            str(ROOT / "src"), str(prefix), "-", "--", *argv],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=_one_cpu if argv[0] == "verify" else None)
     assert proc.returncode == 0, proc.stderr
     # A name is listed once it is wrapped; a span in name_ix means it was called.
     names, counters, (name_ix, *_) = tracing.read_trace(str(prefix))
