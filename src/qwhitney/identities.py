@@ -21,8 +21,8 @@ from collections.abc import Callable, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from itertools import product
-from math import comb
+from itertools import accumulate, product
+from math import comb, lcm
 from operator import add, mul, sub
 
 from .errors import (
@@ -424,22 +424,48 @@ def _eliminate(m: list[list], col: int, prev) -> None:
         row_i[col] = 0
 
 
+def _on_ints(matrix: list[list]) -> tuple[list[list], list | None]:
+    """A copy of matrix to eliminate in place, and its leading minors' denominators.
+
+    A matrix of ints and Fractions (exact types, so bool, float and
+    LaurentPoly entries are copied as they are, with None) becomes the int
+    matrix N = R M C with R = diag(r_i), C = diag(c_j): r_i is the lcm of the
+    denominators in row i at columns <= i and c_j that of column j at rows
+    < j, so every r_i m_ij c_j is an int.  Each leading minor of size n of M
+    is N's over prod_(i<n) r_i c_i, and det N = det R det M det C survives row
+    swaps.  The denominators are None for an all-int matrix.
+    """
+    types = {type(x) for row in matrix for x in row}
+    if Fraction not in types or not types <= {int, Fraction}:
+        return [list(row) for row in matrix], None
+    size = len(matrix)
+    r = [lcm(*(matrix[i][j].denominator for j in range(i + 1))) for i in range(size)]
+    c = [lcm(*(matrix[i][j].denominator for i in range(j))) for j in range(size)]
+    scaled = [[x.numerator * (r[i] * c[j] // x.denominator) for j, x in enumerate(row)]
+              for i, row in enumerate(matrix)]
+    return scaled, list(accumulate(map(mul, r, c), mul))
+
+
 def _det_fraction_free(matrix: list[list]) -> Scalar:
-    """Bareiss one-step fraction-free elimination; exact in any exact scalar."""
+    """Bareiss one-step fraction-free elimination; exact in any exact scalar.
+
+    Rational matrices are eliminated on ints through `_on_ints`; the result is
+    a Fraction if any entry is one.
+    """
     n = len(matrix)
-    m = [list(row) for row in matrix]
+    m, dens = _on_ints(matrix)
     sign = 1
     prev = 1
     for col in range(n - 1):
         pivot_row = next((i for i in range(col, n) if m[i][col]), None)
         if pivot_row is None:
-            return 0
+            return 0 if dens is None else Fraction(0)
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
             sign = -sign
         _eliminate(m, col, prev)
         prev = m[col][col]
-    out = m[n - 1][n - 1]
+    out = m[n - 1][n - 1] if dens is None else Fraction(m[n - 1][n - 1], dens[-1])
     return out if sign == 1 else -out
 
 
@@ -455,13 +481,17 @@ def hankel_transform(seq: Sequence[Scalar], order: int) -> list[Scalar]:
     operations as `_det_fraction_free` on that leading block (Bareiss 1968,
     Sylvester's identity).  From the first zero pivot on, the pass cannot go
     on without a row swap, so each larger size is eliminated on its own.
+    A rational sequence is scaled to ints once, by `_on_ints`, and both the
+    pass and the larger sizes run on the int matrix; every minor is then a
+    Fraction if any term is one.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     if len(seq) < 2 * order - 1:
         raise InsufficientSequenceError(
             f"need at least {2 * order - 1} terms for order {order}, got {len(seq)}")
-    m = _hankel_matrix(seq, order)
+    full, dens = _on_ints(_hankel_matrix(seq, order))
+    m = [list(row) for row in full]
     out = []
     prev = 1
     for col in range(order):
@@ -471,9 +501,9 @@ def hankel_transform(seq: Sequence[Scalar], order: int) -> list[Scalar]:
             break
         _eliminate(m, col, prev)
         prev = pivot
-    out.extend(_det_fraction_free(_hankel_matrix(seq, size))
+    out.extend(_det_fraction_free([row[:size] for row in full[:size]])
                for size in range(len(out) + 1, order + 1))
-    return out
+    return out if dens is None else [Fraction(x, d) for x, d in zip(out, dens)]
 
 
 class HankelProbeResult(Record):

@@ -204,6 +204,10 @@ def parse_scalar(text: str, mode: QMode) -> Scalar:
 
 def divide_exact(num: Scalar, den: Scalar):
     """Division that is exact in exact modes and plain / on floats."""
+    if type(num) is int and type(den) is int and den:
+        quo, rem = divmod(num, den)
+        if not rem:
+            return quo
     if isinstance(num, LaurentPoly) or isinstance(den, LaurentPoly):
         return as_laurent(num).exact_div(den)
     if isinstance(num, float) or isinstance(den, float):

@@ -279,7 +279,12 @@ def test_convolutions_above_the_heavy_cap_are_pinned(tmp_path, capsys):
      "91f3f50ebaece5db030f6b61b0899a3f329a37fc7a4cc3eb6f0d34a89d936b53"),
     (("hankel", "--m", "3/2", "--r-values", "0,1,2", "--q", "1/2", "--order", "12"),
      "8ca8395478339dd347c2c0bdadf2ba03f6bb61317ec629085709611127c83197"),
-], ids=["table-first-symbolic", "table-second-symbolic", "table-second-csv", "hankel"])
+    (("hankel", "--m", "3/2", "--r-values", "0,1,2", "--q", "1/2", "--order", "16"),
+     "78805b190e33c313d98675d096fc09dfa4bb99ab52667a4140847fb0605149e1"),
+    (("hankel", "--m=-3/2", "--r-values", "1,2,3", "--q", "1/2", "--order", "16"),
+     "d2c2cbfbbe4030b206fa5a755b7c44222c67aab721c7d2433f36f9daa6322359"),
+], ids=["table-first-symbolic", "table-second-symbolic", "table-second-csv", "hankel",
+        "hankel-order-16", "hankel-order-16-negative-m"])
 def test_exact_output_is_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")

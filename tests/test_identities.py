@@ -744,6 +744,120 @@ def test_hankel_transform_matches_sympy(sp):
             assert sp.expand(ours - expected) == 0, (seq, size)
 
 
+# -- rational minors on ints -------------------------------------------------------
+#
+# A matrix of ints and Fractions is scaled to an int matrix on both sides and
+# eliminated there.  The references below never scale: sympy's Berkowitz
+# determinant, and Bareiss on Fractions throughout.
+
+
+def _fraction_bareiss(matrix):
+    """Bareiss with row swaps, every entry a Fraction; the integer route's reference."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    n = len(m)
+    sign, prev = 1, Fraction(1)
+    for col in range(n - 1):
+        pivot_row = next((i for i in range(col, n) if m[i][col]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            sign = -sign
+        for i in range(col + 1, n):
+            for j in range(col + 1, n):
+                m[i][j] = (m[i][j] * m[col][col] - m[i][col] * m[col][j]) / prev
+        prev = m[col][col]
+    return sign * m[n - 1][n - 1]
+
+
+def _minor_type(entries):
+    return Fraction if any(type(x) is Fraction for x in entries) else int
+
+
+def test_bareiss_general_rational_matrices_match_sympy(sp):
+    rng = random.Random(29)
+    # Denominators are products of 2, 3, 5 and 7, so row and column lcms share factors.
+    dens = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 21, 35, 49, 210]
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.choice(dens))
+
+    matrices = [[[5]], [[-7]], [[0]], [[Fraction(-3, 14)]], [[Fraction(0)]], [[Fraction(4, 2)]]]
+    for size in range(2, 7):
+        for _ in range(5):
+            matrix = [[entry() for _ in range(size)] for _ in range(size)]
+            matrices.append(matrix)
+            # Zeros in the leading column force a row swap; a zero column, det 0.
+            swapped = [list(row) for row in matrix]
+            for i in range(rng.randint(1, size - 1)):
+                swapped[i][0] = rng.choice([0, Fraction(0)])
+            matrices.append(swapped)
+            matrices.append([[Fraction(0)] + row[1:] for row in matrix])
+            matrices.append([[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)])
+            matrices.append([[x if (i + j) % 2 else x.numerator for j, x in enumerate(row)]
+                             for i, row in enumerate(matrix)])
+    for matrix in matrices:
+        expected = sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in row]
+                              for row in matrix]).det(method="berkowitz")
+        got = _det_fraction_free(matrix)
+        assert got == Fraction(int(expected.p), int(expected.q)), matrix
+        assert type(got) is _minor_type(x for row in matrix for x in row), matrix
+
+
+_terms = st.one_of(st.just(0), st.integers(min_value=-6, max_value=6),
+                   st.builds(Fraction, st.integers(min_value=-20, max_value=20),
+                             st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12, 35])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda order: st.tuples(st.just(order),
+                            st.lists(_terms, min_size=2 * order - 1, max_size=2 * order - 1))))
+def test_rational_hankel_transform_equals_fraction_bareiss(case):
+    order, seq = case
+    got = hankel_transform(seq, order)
+    assert got == [_fraction_bareiss(_hankel(seq, size)) for size in range(1, order + 1)]
+    assert {type(v) for v in got} == {_minor_type(seq)}
+
+
+def test_hankel_transform_result_types():
+    # One type per call: Fractions if any term is one, ints if every term is an int.
+    mixed = ZERO_PIVOT_SEQUENCES[3]
+    assert hankel_transform(mixed, 4) == [2, 0, -2, Fraction(-8333, 768)]
+    ones = [Fraction(1), 2, 3, 5, 8, 13, 21]
+    assert hankel_transform(ones, 4) == [1, -1, 0, 0]
+    for seq in (mixed, ones, [0, 1, 0, 2, 0, 5, Fraction(1, 2)]):
+        assert {type(v) for v in hankel_transform(seq, 4)} == {Fraction}, seq
+    assert {type(v) for v in hankel_transform([1, 2, 3, 5, 8, 13, 21], 4)} == {int}
+
+
+def test_float_and_bool_entries_are_not_scaled():
+    # The integer route is taken by exact type: a float or a bool entry keeps
+    # the whole matrix, and the minors, as they are.
+    assert identities._on_ints([[0.5, Fraction(1, 3)], [1, 2]])[1] is None
+    assert identities._on_ints([[True, Fraction(1, 2)], [1, 2]])[1] is None
+    got = hankel_transform([0.5, Fraction(1, 4), 2], 2)
+    assert (got, [type(v) for v in got]) == ([0.5, 0.9375], [float, float])
+
+
+def test_rational_hankel_transform_divides_only_ints(monkeypatch):
+    seq = dowling_sequence(
+        WhitneyParams(Fraction(3, 2), Fraction(5, 2), RationalQ(Fraction(1, 2))), 14)
+    operands = set()
+    divide = identities.divide_exact
+
+    def spy(num, den):
+        operands.add((type(num), type(den)))
+        return divide(num, den)
+
+    monkeypatch.setattr(identities, "divide_exact", spy)
+    expected = [_fraction_bareiss(_hankel(seq, size)) for size in range(1, 9)]
+    assert hankel_transform(seq, 8) == expected
+    # The zero-pivot fallback eliminates on ints too.
+    hankel_transform(ZERO_PIVOT_SEQUENCES[3], 4)
+    assert operands == {(int, int)}
+
+
 def test_hankel_probe_classical():
     result = hankel_probe(1, [0, 1, 2], 1, 3)
     assert result.equal

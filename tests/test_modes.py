@@ -1,12 +1,14 @@
-"""The fused `sum_of_products` of each scalar mode against the plain loop."""
+"""The fused `sum_of_products` of each scalar mode against the plain loop, and
+`divide_exact` on ints."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwhitney.laurent import ZERO, LaurentPoly, q_monomial
-from qwhitney.modes import SYMBOLIC, FloatQ, RationalQ, canonical_text
+from qwhitney.modes import SYMBOLIC, FloatQ, RationalQ, canonical_text, divide_exact
 
 
 class _Opaque(int):
@@ -98,3 +100,21 @@ def test_sum_of_products_examples():
 def test_symbolic_q_powers_are_the_monomials():
     for e in range(-6, 7):
         assert SYMBOLIC.q_power(e) == q_monomial(e)
+
+
+def test_divide_exact_on_ints():
+    # An exact quotient of two ints is an int; an inexact one is the Fraction.
+    for num, den, quotient in ((6, 3, 2), (-6, 3, -2), (6, -3, -2), (0, 5, 0), (-7, -7, 1)):
+        got = divide_exact(num, den)
+        assert (got, type(got)) == (quotient, int), (num, den)
+    got = divide_exact(7, 2)
+    assert (got, type(got)) == (Fraction(7, 2), Fraction)
+    assert divide_exact(-7, 2) == Fraction(-7, 2)
+
+
+def test_divide_exact_by_int_zero_keeps_its_message():
+    # The messages `Fraction` division gives; cli.main prints "qwhitney: <message>".
+    for num, message in ((1, "Fraction(1, 0)"), (0, "Fraction(0, 0)"), (-3, "Fraction(-1, 0)")):
+        with pytest.raises(ZeroDivisionError) as info:
+            divide_exact(num, 0)
+        assert str(info.value) == message
