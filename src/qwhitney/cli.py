@@ -244,50 +244,31 @@ def _worker_count(points: int) -> int:
     return min(points, cpus)
 
 
-def _share_results(identity, points, share, nmax: int, full: bool) -> tuple:
-    """(entries, raised): one identity checked at the point indices in share.
-
-    An entry is (index, checks, failing, first failing cell or None, every
-    cell if full else None).  raised is None, or the index where `verify`
-    raised; the entries then stop before it.
-    """
+def _share_results(identity, points, share, nmax: int, full: bool) -> list:
+    """One identity checked at the point indices in share, one entry per point:
+    (index, checks, failing, first failing cell or None, every cell if full else None)."""
     entries = []
     for i in share:
-        try:
-            result = verify(identity, points[i], nmax)
-        except Exception:
-            return entries, i
+        result = verify(identity, points[i], nmax)
         failing = result.failing
         entries.append((i, len(result), len(failing),
                         result.cells[failing[0]] if failing else None,
                         result.cells if full else None))
         del result, failing  # before the next point's checks are made
-    return entries, None
-
-
-def _serve(out, identities, points, share, nmax: int, full: bool):
-    """A worker's work: one pickled `_share_results` frame per identity to the
-    binary file out, up to the first frame that raised."""
-    import pickle
-
-    for identity in identities:
-        frame = _share_results(identity, points, share, nmax, full)
-        pickle.dump(frame, out)
-        out.flush()
-        if frame[1] is not None:
-            return
+    return entries
 
 
 def _spread(identities, points, nmax: int, full: bool):
     """Yield (identity, entries of every point in point order), identity by identity.
 
     The points are shared out over `_worker_count` processes: this one checks
-    points[0::N], and a forked worker (see `_serve`) each other share.  A
-    worker never returns: the caller's output and exit handlers run once, in
-    this process.  If `verify` raised anywhere, the first raising point in
-    point order is checked again here, so the exception and its traceback are
-    a one-process run's.  Closing the generator kills and reaps every worker.
-    The package starts no threads, so a forked worker inherits no held lock.
+    points[0::N], and a forked worker each other share, sending one pickled
+    entry list per identity.  A worker never returns: the caller's output and
+    exit handlers run once, in this process.  If a share raises, or a worker
+    ends without its list, every point of the identity is checked again here
+    in point order, so the exception and its traceback are a one-process
+    run's.  Closing the generator kills and reaps every worker.  The package
+    starts no threads, so a forked worker inherits no held lock.
     """
     import pickle
     import signal
@@ -308,7 +289,9 @@ def _spread(identities, points, nmax: int, full: bool):
                 try:
                     os.close(rfd)
                     with open(wfd, "wb") as out:
-                        _serve(out, identities, points, share, nmax, full)
+                        for identity in identities:
+                            pickle.dump(_share_results(identity, points, share, nmax, full), out)
+                            out.flush()
                 finally:
                     os._exit(0)
             os.close(wfd)
@@ -316,18 +299,17 @@ def _spread(identities, points, nmax: int, full: bool):
             pipes.append(open(rfd, "rb"))
         own = sorted(chain(shares[0], *shares[1 + len(pids):]))
         for identity in identities:
-            frames = [_share_results(identity, points, own, nmax, full)]
             try:
-                frames += [pickle.load(pipe) for pipe in pipes]
-            except EOFError:
-                raise RuntimeError("a verify worker process ended early") from None
-            raised = [i for _, i in frames if i is not None]
-            if raised:
-                verify(identity, points[min(raised)], nmax)
-                raise RuntimeError(f"verify raised at {identity.value} in a worker process, "
-                                   "but not when checked again")
-            entries = sorted(chain.from_iterable(frame[0] for frame in frames), key=itemgetter(0))
-            del frames
+                entries = _share_results(identity, points, own, nmax, full)
+                for pipe in pipes:
+                    entries += pickle.load(pipe)
+            except Exception:  # checked again below, so no traceback is chained to it
+                entries = None
+            if entries is None:
+                _share_results(identity, points, range(len(points)), nmax, full)
+                raise RuntimeError(f"a share of the {identity.value} points raised or sent no "
+                                   "results, but checking every point again here raised nothing")
+            entries.sort(key=itemgetter(0))
             yield identity, entries
             del entries  # before the next identity's checks are made
     finally:
@@ -352,10 +334,10 @@ def run_verify(args) -> int:
     failures = 0
     total = 0
     first = None  # the first failing report, in count-table order
+    check_nmax(args.nmax)  # before the report file is opened or any worker forked
     stream = open(args.report, "w", encoding="utf-8") if args.report else None
     results = _spread(identities, points, args.nmax, stream is not None)
     try:
-        check_nmax(args.nmax)  # before any worker is forked
         for identity, entries in results:
             checks = bad = 0
             reports = []  # every report of the identity, built only for the stream

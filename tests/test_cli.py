@@ -178,6 +178,17 @@ def test_verify_rejects_a_repeated_identity(capsys, suite):
     assert (code, out, err) == (2, "", "qwhitney: --suite: repeated identity 'boundary'\n")
 
 
+@pytest.mark.parametrize("nmax", ["13", "-1"])
+def test_a_bad_nmax_leaves_the_report_file_as_it_was(tmp_path, capsys, nmax):
+    # --nmax is checked before the report file is opened for writing.
+    report = tmp_path / "reports.jsonl"
+    report.write_bytes(b"kept\r\n\0\n")
+    plain = run(capsys, "verify", "--nmax", nmax)
+    assert plain[:2] == (2, "") and plain[2].startswith("qwhitney: nmax ")
+    assert run(capsys, "verify", "--nmax", nmax, "--report", str(report)) == plain
+    assert report.read_bytes() == b"kept\r\n\0\n"
+
+
 def test_verify_small_all_with_report(tmp_path, capsys):
     report = tmp_path / "reports.jsonl"
     code, out, _ = run(capsys, "verify", "--suite", "all", "--nmax", "3",

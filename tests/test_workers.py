@@ -8,6 +8,9 @@ process may be left, reaped or not.
 """
 
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -126,6 +129,46 @@ def test_an_interrupt_in_this_process_leaves_no_worker(monkeypatch, capsys):
     _no_child_left()
 
 
+def test_an_interrupt_is_never_checked_again(monkeypatch, capsys):
+    # Only the first call in this process raises: a run that checked the
+    # identity again after the interrupt would pass and exit 3.
+    original = identities._CHECKERS[IdentityId.BOUNDARY]
+    here, calls = os.getpid(), []
+
+    def interrupted_once(params, nmax):
+        if os.getpid() == here:
+            calls.append((params.m, params.r))
+            if len(calls) == 1:
+                raise KeyboardInterrupt
+        return original(params, nmax)
+
+    monkeypatch.setitem(identities._CHECKERS, IdentityId.BOUNDARY, interrupted_once)
+    monkeypatch.setattr(cli, "_worker_count", lambda points: 2)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["verify", "--suite", "boundary", "--nmax", "3"])
+    _no_child_left()
+    assert calls == [DEFAULT_GRID[0]]
+
+
+def test_a_worker_that_ends_without_its_list_exits_three(monkeypatch, capsys):
+    here = os.getpid()
+
+    def vanish(params, result):
+        if os.getpid() != here:
+            os._exit(0)
+        return result
+
+    monkeypatch.setitem(identities._CHECKERS, IdentityId.R_SHIFT,
+                        _at({WORKER_POINT}, IdentityId.R_SHIFT, vanish))
+    code, out, err = _run(monkeypatch, capsys,
+                          ["verify", "--suite", "boundary,r_shift", "--nmax", "3"], 2)
+    assert (code, out) == (3, "boundary\t144\t0\n")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: a share of the r_shift points raised or sent no results, "
+                        "but checking every point again here raised nothing\n"
+                        "qwhitney: internal error\n")
+
+
 def test_a_first_failure_at_a_worker_point_builds_one_report_here(
         monkeypatch, capsys, tmp_path):
     # r_shift fails at index 1, a worker's, and at index 2, this process's.
@@ -167,3 +210,48 @@ def test_a_failed_fork_leaves_its_points_to_this_process(monkeypatch, capsys):
     monkeypatch.setattr(os, "fork", fork)
     assert _run(monkeypatch, capsys, argv, 3) == serial
     assert len(forks) == 1
+
+
+#: Run in a child interpreter as CHILD <fault> <argv...> over 2 forced processes.
+#: fault "raise" makes r_shift raise at WORKER_POINT in every process, "vanish"
+#: ends the worker there without its list, and "none" changes nothing.
+CHILD = """
+import gc, os, sys
+from qwhitney import cli, identities
+from qwhitney.identities import DEFAULT_GRID, IdentityId
+
+fault, argv = sys.argv[1], sys.argv[2:]
+here, original = os.getpid(), identities._CHECKERS[IdentityId.R_SHIFT]
+
+def checker(params, nmax):
+    if (params.m, params.r) == DEFAULT_GRID[1]:
+        if fault == "raise":
+            raise TypeError("checker fault")
+        if fault == "vanish" and os.getpid() != here:
+            os._exit(0)
+    return original(params, nmax)
+
+identities._CHECKERS[IdentityId.R_SHIFT] = checker
+cli._worker_count = lambda points: 2
+code = cli.main(argv)
+gc.collect()
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("fault, code, last", [
+    ("none", 0, "PASS\t"),
+    ("raise", 3, "TypeError: checker fault"),
+    ("vanish", 3, "RuntimeError: a share of the r_shift points"),
+])
+def test_the_worker_paths_leak_no_file(tmp_path, fault, code, last):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    argv = ["verify", "--suite", "boundary,r_shift", "--nmax", "3", "--q", "1/2",
+            "--report", str(tmp_path / "reports.jsonl")]
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                           "-c", CHILD, fault, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == code, proc.stderr
+    assert last in (proc.stdout if code == 0 else proc.stderr)
+    assert "ResourceWarning" not in proc.stderr and "Exception ignored" not in proc.stderr
