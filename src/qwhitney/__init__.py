@@ -14,7 +14,6 @@ from .errors import (
 )
 from .identities import (
     DEFAULT_GRID,
-    HankelProbeResult,
     IdentityId,
     binomial_inverse,
     binomial_transform,

@@ -448,13 +448,16 @@ def _draw_lines(batch: list[int], labels: list[str]) -> str:
 def run_hankel(args) -> int:
     if args.order < 1:
         raise DomainError("--order must be >= 1")
-    result = hankel_probe(args.m, args.r_values, args.q, args.order)
-    for r in args.r_values:
-        row = result.rows[r]
-        print(str(r) + "\t" + "\t".join(canonical_text(v) for v in row))
-    if not result.equal:
-        print("hankel mismatch across r values", file=sys.stderr)
-        return 1
+    rows = hankel_probe(args.m, args.r_values, args.q, args.order)
+    for r, row in rows.items():
+        print(str(r) + "\t" + "\t".join(map(canonical_text, row)))
+    (r0, first), *rest = rows.items()
+    for r, row in rest:
+        for size, (a, b) in enumerate(zip(first, row), 1):
+            if a != b:
+                print(f"qwhitney: the Hankel minors of size {size} differ at r = {r0} "
+                      f"and r = {r}", file=sys.stderr)
+                return 1
     return 0
 
 

@@ -32,7 +32,6 @@ from .errors import (
 )
 from .modes import RationalQ, Scalar, divide_exact
 from .qcore import powers
-from .record import Record
 from .report import Checks, IdentityReport
 from .whitney import (
     WhitneyParams,
@@ -469,10 +468,6 @@ def _det_fraction_free(matrix: list[list]) -> Scalar:
     return out if sign == 1 else -out
 
 
-def _hankel_matrix(seq: Sequence[Scalar], size: int) -> list[list]:
-    return [[seq[i + j] for j in range(size)] for i in range(size)]
-
-
 def hankel_transform(seq: Sequence[Scalar], order: int) -> list[Scalar]:
     """Determinants of the leading Hankel matrices [seq_(i+j)], sizes 1..order.
 
@@ -490,7 +485,7 @@ def hankel_transform(seq: Sequence[Scalar], order: int) -> list[Scalar]:
     if len(seq) < 2 * order - 1:
         raise InsufficientSequenceError(
             f"need at least {2 * order - 1} terms for order {order}, got {len(seq)}")
-    full, dens = _on_ints(_hankel_matrix(seq, order))
+    full, dens = _on_ints([[seq[i + j] for j in range(order)] for i in range(order)])
     m = [list(row) for row in full]
     out = []
     prev = 1
@@ -506,25 +501,15 @@ def hankel_transform(seq: Sequence[Scalar], order: int) -> list[Scalar]:
     return out if dens is None else [Fraction(x, d) for x, d in zip(out, dens)]
 
 
-class HankelProbeResult(Record):
-    """Hankel sequences of the Dowling numbers across several r values."""
-
-    __slots__ = _fields = ("m", "q0", "order", "rows", "equal", "common")
-
-    def __init__(self, m: Fraction, q0: Fraction, order: int, rows: dict, equal: bool,
-                 common: tuple | None):
-        self._set(m=m, q0=q0, order=order, rows=rows, equal=equal, common=common)
-
-
-def hankel_probe(m, r_values: Sequence, q0, order: int) -> HankelProbeResult:
-    """Compare Hankel transforms of (D(n))_n across the given r values.
+def hankel_probe(m, r_values: Sequence, q0, order: int) -> dict:
+    """Hankel transforms of (D(n))_n at each r value: {Fraction(r): minors}.
 
     D at r + c is the binomial transform with parameter c of D at r (the
     row sums of r_decomp_second), and Hankel determinants are invariant
     under it (Layman, "The Hankel transform and some of its properties",
     J. Integer Seq. 4, 2001).  So the transforms coincide for any rational
-    r values; the probe recomputes them independently and reports whether
-    they agree.
+    r values; the probe computes each independently, in the order of
+    r_values, for the caller to compare.
     """
     mode = RationalQ(Fraction(q0))
     rows = {}
@@ -532,7 +517,4 @@ def hankel_probe(m, r_values: Sequence, q0, order: int) -> HankelProbeResult:
         params = WhitneyParams(Fraction(m), Fraction(r), mode)
         seq = dowling_sequence(params, 2 * order - 2 if order else 0)
         rows[Fraction(r)] = tuple(hankel_transform(seq, order))
-    values = list(rows.values())
-    equal = all(v == values[0] for v in values)
-    return HankelProbeResult(Fraction(m), Fraction(q0), order, rows, equal,
-                             values[0] if equal and values else None)
+    return rows

@@ -185,8 +185,9 @@ MOMENT_REL_TOL = 1e-9
 
 #: Highest order `dist --op moments --n` accepts.  One symbolic second-kind
 #: triangle built to that order is most of the cost, which grows steeply with
-#: it: `--n 40` runs in 0.18 s, 0.09 s of it in the triangle (2-core x86_64
-#: VM, Python 3.11).
+#: it: the `--n 40` table takes 0.14 s in-process, 0.11 s of it in the
+#: triangle (heine q 0.5, lambda 0.7, (m, r) = (3/2, 5/2); 2-core x86_64 VM,
+#: Python 3.11, median of 21 fresh processes).
 MOMENT_NMAX = 40
 
 

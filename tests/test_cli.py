@@ -677,20 +677,44 @@ def test_hankel_degenerate_sequence_takes_the_zero_pivot_fallback(capsys, monkey
 
 
 def test_hankel_mismatch_exits_one(capsys, monkeypatch):
-    # The probe's equality always holds for real inputs (the sequences are
-    # binomial shifts of each other), so force the mismatch branch.
-    import qwhitney.cli as cli_mod
-    from qwhitney.identities import HankelProbeResult
-
+    # The rows always agree for real inputs (the sequences are binomial
+    # shifts of each other), so force the mismatch branch.
     def fake_probe(m, r_values, q0, order):
-        return HankelProbeResult(Fraction(m), Fraction(q0), order,
-                                 {Fraction(0): (1,), Fraction(1): (2,)}, False, None)
+        return {Fraction(0): (1,), Fraction(1): (2,)}
 
-    monkeypatch.setattr(cli_mod, "hankel_probe", fake_probe)
-    code, _, err = run(capsys, "hankel", "--m", "1", "--r-values", "0,1",
-                       "--q", "1/2", "--order", "1")
-    assert code == 1
-    assert "mismatch" in err
+    monkeypatch.setattr(cli, "hankel_probe", fake_probe)
+    code, out, err = run(capsys, "hankel", "--m", "1", "--r-values", "0,1",
+                         "--q", "1/2", "--order", "1")
+    assert (code, out) == (1, "0\t1\n1\t2\n")
+    assert err == "qwhitney: the Hankel minors of size 1 differ at r = 0 and r = 1\n"
+
+
+def test_hankel_mismatch_names_the_smallest_size_and_both_r_values(capsys, monkeypatch):
+    # The third r value's minors of size 3 and 5 are off by one; the rows
+    # are printed as computed, and stderr names the smaller size only.
+    argv = ("hankel", "--m", "3/2", "--r-values", "0,1,5/2", "--q", "1/2", "--order", "5")
+    clean, clean_out, _ = run(capsys, *argv)
+    assert clean == 0
+    calls = []
+    transform = identities.hankel_transform
+
+    def fault(seq, order):
+        out = transform(seq, order)
+        calls.append(order)
+        if len(calls) == 3:
+            out[2] += 1
+            out[4] += 1
+        return out
+
+    monkeypatch.setattr(identities, "hankel_transform", fault)
+    code, out, err = run(capsys, *argv)
+    lines = clean_out.splitlines(keepends=True)
+    fields = lines[2].rstrip("\n").split("\t")
+    for i in (3, 5):
+        fields[i] = str(Fraction(fields[i]) + 1)
+    lines[2] = "\t".join(fields) + "\n"
+    assert (code, out) == (1, "".join(lines))
+    assert err == "qwhitney: the Hankel minors of size 3 differ at r = 0 and r = 5/2\n"
 
 
 def test_hankel_usage_errors(capsys):

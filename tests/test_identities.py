@@ -859,18 +859,20 @@ def test_rational_hankel_transform_divides_only_ints(monkeypatch):
 
 
 def test_hankel_probe_classical():
-    result = hankel_probe(1, [0, 1, 2], 1, 3)
-    assert result.equal
-    rows = list(result.rows.values())
-    assert rows[0] == rows[1] == rows[2]
+    rows = hankel_probe(1, [0, 1, 2], 1, 3)
+    assert list(rows) == [Fraction(0), Fraction(1), Fraction(2)]
+    values = list(rows.values())
+    assert values[0] == values[1] == values[2]
 
 
 def test_hankel_probe_rational_q():
-    result = hankel_probe(2, [1, 2], Fraction(1, 2), 4)
-    assert result.equal
-    assert result.common is not None and len(result.common) == 4
+    rows = hankel_probe(2, [1, 2], Fraction(1, 2), 4)
+    assert rows[Fraction(1)] == rows[Fraction(2)]
+    assert isinstance(rows[Fraction(1)], tuple) and len(rows[Fraction(1)]) == 4
+    assert hankel_probe(1, [0, 1], Fraction(1, 2), 2) == {
+        Fraction(0): (Fraction(1), Fraction(1, 2)), Fraction(1): (Fraction(1), Fraction(1, 2))}
 
 
 def test_hankel_probe_singleton_trivial():
-    result = hankel_probe(2, [1], Fraction(1, 2), 3)
-    assert result.equal
+    rows = hankel_probe(2, [1], Fraction(1, 2), 3)
+    assert list(rows) == [Fraction(1)] and len(rows[Fraction(1)]) == 3

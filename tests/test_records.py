@@ -17,7 +17,6 @@ from fractions import Fraction
 import pytest
 
 from qwhitney.errors import DomainError
-from qwhitney.identities import HankelProbeResult, hankel_probe
 from qwhitney.modes import SYMBOLIC, FloatQ, RationalQ
 from qwhitney.qdist import QDistSpec
 from qwhitney.report import IdentityReport
@@ -83,12 +82,6 @@ RECORDS = {
         lambda: IdentityReport("boundary", {"n": 1}, Fraction(1, 2), Fraction(1, 2), True),
         "IdentityReport(identity='boundary', point={'n': 1}, lhs=Fraction(1, 2), "
         "rhs=Fraction(1, 2), passed=True)"),
-    "HankelProbeResult": (
-        lambda: hankel_probe(1, [0, 1], Fraction(1, 2), 2),
-        "HankelProbeResult(m=Fraction(1, 1), q0=Fraction(1, 2), order=2, "
-        "rows={Fraction(0, 1): (Fraction(1, 1), Fraction(1, 2)), Fraction(1, 1): "
-        "(Fraction(1, 1), Fraction(1, 2))}, equal=True, common=(Fraction(1, 1), "
-        "Fraction(1, 2)))"),
     "QDistSpec": (lambda: QDistSpec("euler", 0.5, 0.3),
                   "QDistSpec(family='euler', q=0.5, lam=0.3)"),
     "ATableau": (lambda: ATableau((2, 1, 0), True, 3),
@@ -101,7 +94,7 @@ def test_record_semantics(name):
     make, expected_repr = RECORDS[name]
     a, b = make(), make()
     assert a == b and not a != b
-    if isinstance(a, (IdentityReport, HankelProbeResult)):
+    if isinstance(a, IdentityReport):
         with pytest.raises(TypeError):  # a dict field, as with the dataclasses
             hash(a)
     else:

@@ -212,6 +212,26 @@ def test_a_failed_fork_leaves_its_points_to_this_process(monkeypatch, capsys):
     assert len(forks) == 1
 
 
+def test_the_worker_count_is_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("no fork here"), raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert [cli._worker_count(points) for points in (1, 2, 3, 9)] == [1, 2, 3, 3]
+
+
+def test_without_fork_the_worker_count_is_one(monkeypatch):
+    monkeypatch.delattr(os, "fork", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert cli._worker_count(9) == 1
+
+
+@pytest.mark.parametrize("cpus, expected", [(4, [1, 3, 4]), (None, [1, 1, 1])])
+def test_without_an_affinity_the_worker_count_is_the_cpu_count(monkeypatch, cpus, expected):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("no fork here"), raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert [cli._worker_count(points) for points in (1, 3, 9)] == expected
+
+
 #: Run in a child interpreter as CHILD <fault> <argv...> over 2 forced processes.
 #: fault "raise" makes r_shift raise at WORKER_POINT in every process, "vanish"
 #: ends the worker there without its list, and "none" changes nothing.
