@@ -206,7 +206,10 @@ def _load_grid(source: str) -> list[tuple[Fraction, Fraction]]:
     if source == "default":
         return list(DEFAULT_GRID)
     with open(source, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise DomainError(f"--grid {source}: not JSON: {exc}") from None
     if not isinstance(raw, list) or not all(
             isinstance(entry, list) and len(entry) == 2 for entry in raw):
         raise DomainError(f"--grid {source}: expected a JSON list of [m, r] pairs")

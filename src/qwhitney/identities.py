@@ -26,6 +26,7 @@ from math import comb, lcm
 from operator import add, mul, sub
 
 from .errors import (
+    DomainError,
     IncompatibleModeError,
     InsufficientSequenceError,
     UnknownIdentityError,
@@ -139,8 +140,6 @@ def _check_recurrence(identity: IdentityId) -> Callable:
 
 
 def _genfunc_second(params, nmax):
-    if not params.qmode.is_exact:
-        raise IncompatibleModeError("genfunc_second needs an exact mode")
     tri = whitney_second_triangle(params, nmax)
     mode = params.qmode
     den = [mode.q_power(0)]
@@ -323,7 +322,6 @@ def _privault_q(params, nmax):
         for x in PRIVAULT_X_VALUES:
             rhs = mode.sum_of_products([(comb(n, k), rpow[n - k], acc)
                                         for k, acc in enumerate(inner[x][:n + 1])])
-            # Summed as `dowling_polynomial` sums it, so float values match it bit for bit.
             lhs = reduce(add, map(mul, rows[n], xpows[x]))
             yield {"n": n, "x": str(x)}, lhs, rhs
 
@@ -375,11 +373,15 @@ def check_nmax(nmax: int) -> None:
 def verify(identity, params: WhitneyParams, nmax: int = DEFAULT_NMAX_CEILING) -> Checks:
     """Check one identity at one parameter point over its index lattice.
 
-    Each check is judged here; the result is a sequence of IdentityReport
-    whose reports are built when they are read, by indexing or iterating.
+    Each check is judged here, by exact equality, so an inexact mode raises
+    IncompatibleModeError before any triangle is built.  The result is a
+    sequence of IdentityReport whose reports are built when they are read,
+    by indexing or iterating.
     """
     identity = identity_id(identity)
     check_nmax(nmax)
+    if not params.qmode.is_exact:
+        raise IncompatibleModeError(f"verify needs an exact mode, not {params.qmode!r}")
     return _CHECKERS[identity](params, nmax)
 
 
@@ -509,12 +511,15 @@ def hankel_probe(m, r_values: Sequence, q0, order: int) -> dict:
     under it (Layman, "The Hankel transform and some of its properties",
     J. Integer Seq. 4, 2001).  So the transforms coincide for any rational
     r values; the probe computes each independently, in the order of
-    r_values, for the caller to compare.
+    r_values, for the caller to compare.  A repeated r value is a
+    DomainError, since its row would replace the earlier one.
     """
     mode = RationalQ(Fraction(q0))
     rows = {}
-    for r in r_values:
-        params = WhitneyParams(Fraction(m), Fraction(r), mode)
+    for r in map(Fraction, r_values):
+        if r in rows:
+            raise DomainError(f"repeated r value {r}")
+        params = WhitneyParams(Fraction(m), r, mode)
         seq = dowling_sequence(params, 2 * order - 2 if order else 0)
-        rows[Fraction(r)] = tuple(hankel_transform(seq, order))
+        rows[r] = tuple(hankel_transform(seq, order))
     return rows

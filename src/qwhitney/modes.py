@@ -1,15 +1,15 @@
 """Scalar modes: symbolic q, exact rational q, and floating-point q.
 
 A mode supplies the handful of primitives the generic algorithms need
-(powers of q, q-integers, injection of exact rational constants, and
-`sum_of_products`, the sum of the products of tuples of factors) so that every
-higher-level computation runs unchanged over Laurent polynomials,
+(powers of q, q-integers and injection of exact rational constants) so that
+every higher-level computation runs unchanged over Laurent polynomials,
 Fractions, or floats.  All three share one fixed-q base: symbolic q is q
 fixed at the formal variable (the monomial q), so q-powers and q-factorials
-have one implementation.  The exact modes fuse a sum of products: numerators
-are accumulated over a common denominator and reduced once per sum (Knuth,
-TAOCP vol. 2, section 4.5.1); float mode adds left to right, as `acc + a*b*...`
-does.  Values from different modes never mix silently:
+have one implementation.  The exact modes also supply `sum_of_products`, the
+sum of the products of tuples of factors, fused: numerators are accumulated
+over a common denominator and reduced once per sum (Knuth, TAOCP vol. 2,
+section 4.5.1).  Only exact modes check identities, so float mode has no
+such sum.  Values from different modes never mix silently:
 LaurentPoly arithmetic rejects floats, and the exact modes reject float
 constants with a TypeError.
 """
@@ -17,7 +17,7 @@ constants with a TypeError.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 from . import laurent, qcore
 from .laurent import LaurentPoly, as_laurent, parse_laurent, q_monomial
@@ -157,14 +157,6 @@ class FloatQ(_FixedQ):
 
     tag = "float"
     is_exact = False
-
-    @staticmethod
-    def sum_of_products(terms) -> float:
-        """acc = acc + prod(term) left to right from 0, rounding as that loop does."""
-        acc = 0
-        for term in terms:
-            acc = acc + prod(term)
-        return acc
 
     def of(self, x) -> float:
         return float(x)

@@ -1,25 +1,11 @@
-"""Per-check result record of the identity catalogue, and the one pass/fail rule."""
+"""Per-check result record of the identity catalogue; a check passes when lhs == rhs."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from operator import eq
 
 from .modes import Scalar, canonical_text
 from .record import Record
-
-#: Relative tolerance of a float-mode comparison in `pass_rule`.
-FLOAT_REL_TOL = 1e-9
-
-
-def _close(lhs: float, rhs: float) -> bool:
-    return abs(lhs - rhs) <= FLOAT_REL_TOL * max(1.0, abs(rhs))
-
-
-def pass_rule(qmode):
-    """The one pass/fail rule, as a function of (lhs, rhs): exact equality in exact
-    modes, |lhs - rhs| <= FLOAT_REL_TOL * max(1, |rhs|) in float mode."""
-    return eq if qmode.is_exact else _close
 
 
 class IdentityReport(Record):
@@ -46,28 +32,28 @@ class IdentityReport(Record):
 
 
 def checked(identity: str, params, indices: dict, lhs: Scalar, rhs: Scalar) -> IdentityReport:
-    """The report of lhs against rhs at params' point plus indices, judged by
-    `pass_rule`.  `Checks` calls it for a check only when that check is read."""
-    passed = pass_rule(params.qmode)(lhs, rhs)
-    return IdentityReport(identity, params.point(**indices), lhs, rhs, passed)
+    """The report of lhs against rhs at params' point plus indices, passed when
+    lhs == rhs.  `Checks` calls it for a check only when that check is read."""
+    return IdentityReport(identity, params.point(**indices), lhs, rhs, lhs == rhs)
 
 
 class Checks(Sequence):
     """One identity's checks at one parameter point, judged where they are made.
 
     `cells` holds one (indices, lhs, rhs) per check, `len` counts them and
-    `failing` lists the positions that fail `pass_rule`.  Indexing or
+    `failing` lists the positions where lhs != rhs.  Indexing or
     iterating builds each report read through `checked`; none is kept.
     """
 
     __slots__ = ("identity", "params", "cells", "failing")
 
     def __init__(self, identity: str, params, cells: list):
-        passes = pass_rule(params.qmode)
         self.identity = identity
         self.params = params
         self.cells = cells
-        self.failing = [i for i, (_, lhs, rhs) in enumerate(cells) if not passes(lhs, rhs)]
+        # `not ==`: Fraction and LaurentPoly define no __ne__, and `!=` reaches
+        # their __eq__ through object.__ne__, one call more per check.
+        self.failing = [i for i, (_, lhs, rhs) in enumerate(cells) if not lhs == rhs]
 
     def __len__(self) -> int:
         return len(self.cells)

@@ -26,7 +26,7 @@ from itertools import accumulate, combinations
 from math import comb, lcm
 from operator import add, mul, sub
 
-from .errors import ZeroMError
+from .errors import IncompatibleModeError, ZeroMError
 from .laurent import LaurentPoly
 from .modes import SYMBOLIC, FloatQ, QMode, Scalar, divide_exact
 from .qcore import (
@@ -346,11 +346,14 @@ def defining_sides(kind: str, params: WhitneyParams, ell: int, nmax: int):
 
     Every n reads row n of one triangle of size nmax, and its falling
     factorial and powers from one list each; `defining_first` and
-    `defining_second` return the pair at n = nmax.
+    `defining_second` return the pair at n = nmax.  The sides are compared
+    by exact equality, so an inexact mode raises IncompatibleModeError.
     """
     if ell < 0 or nmax < 0:
         raise ValueError("ell and n must be >= 0")
     mode = params.qmode
+    if not mode.is_exact:
+        raise IncompatibleModeError(f"the defining relations need an exact mode, not {mode!r}")
     total = mode.sum_of_products
     m, w = mode.of(params.m), params.weight(ell)
     falling = q_falling_factorials(ell, nmax, mode)

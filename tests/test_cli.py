@@ -335,6 +335,19 @@ def test_verify_rejects_a_repeated_grid_point(tmp_path, capsys):
     assert (code, out, err) == (2, "", f"qwhitney: --grid {path}: repeated [m, r] pair [1, 0]\n")
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+    (b"[[1, 0]", "Expecting ',' delimiter: line 1 column 8 (char 7)"),
+    (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["empty", "truncated", "not-utf-8"])
+def test_verify_rejects_a_grid_file_that_is_not_json(tmp_path, capsys, content, reason):
+    path = tmp_path / "grid.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "verify", "--suite", "boundary", "--nmax", "1",
+                         "--grid", str(path))
+    assert (code, out, err) == (2, "", f"qwhitney: --grid {path}: not JSON: {reason}\n")
+
+
 @pytest.mark.parametrize("values, repeat", [("0,0", "0"), ("0,1,0/3", "0"), ("1/2,2/4", "1/2")])
 def test_hankel_rejects_a_repeated_r_value(capsys, values, repeat):
     code, out, err = run(capsys, "hankel", "--m", "1", "--r-values", values,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qwhitney import identities, report, whitney
 from qwhitney.errors import (
+    DomainError,
     IncompatibleModeError,
     InsufficientSequenceError,
     UnknownIdentityError,
@@ -136,15 +137,10 @@ CONVOLUTION_RHS_SHA256 = {
 def _rhs_digest(q: str, identity: IdentityId, side: str = "rhs") -> str:
     """sha256 of one identity's right sides at (3/2, 5/2), nmax 6; all must pass.
 
-    q is "symbolic", a rational like "-1/2", or a float like "0.5" (float mode).
-    side "lhs" digests the left sides instead.
+    q is "symbolic" or a rational like "-1/2"; side "lhs" digests the left
+    sides instead.
     """
-    if q == "symbolic":
-        mode = SYMBOLIC
-    elif "." in q:
-        mode = FloatQ(float(q))
-    else:
-        mode = RationalQ(Fraction(q))
+    mode = SYMBOLIC if q == "symbolic" else RationalQ(Fraction(q))
     reports = verify(identity, WhitneyParams(Fraction(3, 2), Fraction(5, 2), mode), 6)
     assert all(rep.passed for rep in reports)
     text = "".join(canonical_text(getattr(rep, side)) + "\n" for rep in reports)
@@ -266,63 +262,6 @@ def test_fused_right_sides_are_pinned(q, identity):
     assert _rhs_digest(q, identity) == FUSED_RHS_SHA256[q, identity]
 
 
-#: The same in float mode, where the sums must stay bit-identical to the
-#: left-to-right loops they replace (format .17g, signed zeros included).
-#: Orthogonality's summed side is its left side.
-FUSED_FLOAT_SHA256 = {
-    ("0.5", IdentityId.R_DECOMP_FIRST):
-        "fa4b3ce49809382f6790f0076a3aa548af4bdb0bf16d895c6ffdc1316edc5523",
-    ("0.5", IdentityId.R_DECOMP_SECOND):
-        "781527f4f3658f852043d069659e68d52fb1be9a733216c00b6a56240ecfe1be",
-    ("0.5", IdentityId.R_SHIFT):
-        "0ccf6bc62190e360cf757412bfa2dbea49f35f0426352323c41196f9f704bb6e",
-    ("0.5", IdentityId.CONVO_FIRST_A):
-        "135e09c408016460be341573159d2b1fbae4945cbe30a4fde8b69df71bca5b24",
-    ("0.5", IdentityId.CONVO_FIRST_B):
-        "7ef216d9507b710deb56e773a1c7202a6190e951f3a050001ab51d0b7e96a19b",
-    ("0.5", IdentityId.CONVO_SECOND_A):
-        "464ed37cf9af4edec6214df9f882618d5db2d8aab191633121071da77046a962",
-    ("0.5", IdentityId.CONVO_SECOND_B):
-        "b1a4d3d63dbb92b6a6f31b03f5c104284a943489e1c25edc72cc37e6a309a641",
-    ("0.5", IdentityId.ORTHOGONALITY):
-        "594aca5d5b840a0e0c7f1b27ebc2f31139e5697bb0c5e044a19784c3bd711607",
-    ("0.5", IdentityId.PRIVAULT_Q):
-        "dcb97b39d0bff8048f940d39fe3b537f38090d4a893c6bea09cfc1552d11a359",
-    ("0.5", IdentityId.DEFINING_FIRST):
-        "91d2135dd49966bf2b32d59f6c2e01602ec297b85cf77014b4023cc13918265c",
-    ("0.5", IdentityId.DEFINING_SECOND):
-        "3b44ea3a32be9c202414f57a231c6d6e88b28a39cec29a4bf8987c4f16ea820c",
-    ("-0.5", IdentityId.R_DECOMP_FIRST):
-        "34cb46a84fff46d420ed3b0ea0f9d35d5c25d4e3bee21e57e048d4b012c25da0",
-    ("-0.5", IdentityId.R_DECOMP_SECOND):
-        "f9570a6149253b2f0702a94e3ca0737dfdb7f69313051d76c808beed675b6fd4",
-    ("-0.5", IdentityId.R_SHIFT):
-        "8bb4f1c725766423b42bad8ddd079346395df5d4597dcea2e373a14b4d4cf09a",
-    ("-0.5", IdentityId.CONVO_FIRST_A):
-        "2aeac5205db5086a683f3617378947294a93b37da25e4be7971a1fc8185dbbee",
-    ("-0.5", IdentityId.CONVO_FIRST_B):
-        "2a71be6d74c80506c524eb8fd0d8787fe5bbad6dd572dab7c5f597c6c2132848",
-    ("-0.5", IdentityId.CONVO_SECOND_A):
-        "c28abeac5e1e91dc20e864ae1344672c876b142ef7b15698316d55d1acd00b10",
-    ("-0.5", IdentityId.CONVO_SECOND_B):
-        "2b10f1646b1dd760595fbbfd2672d60bbb4b83616f73452d166e8a64bc136a41",
-    ("-0.5", IdentityId.ORTHOGONALITY):
-        "594aca5d5b840a0e0c7f1b27ebc2f31139e5697bb0c5e044a19784c3bd711607",
-    ("-0.5", IdentityId.PRIVAULT_Q):
-        "ca2227e1d4d7468e9a357a6468045968b10dfc793e0f86bcfcb6f8b62be5acbd",
-    ("-0.5", IdentityId.DEFINING_FIRST):
-        "221b0ef6c24239b787b3414674d53ea4703ba3a18374ab59c6903c8d45a18286",
-    ("-0.5", IdentityId.DEFINING_SECOND):
-        "976520fcf41a49a0bbd9c8c067d5161b1eef465ac7aab9a8d5cb4f0d0918bba3",
-}
-
-
-@pytest.mark.parametrize("q, identity", list(FUSED_FLOAT_SHA256))
-def test_fused_float_sums_are_pinned(q, identity):
-    side = "lhs" if identity is IdentityId.ORTHOGONALITY else "rhs"
-    assert _rhs_digest(q, identity, side) == FUSED_FLOAT_SHA256[q, identity]
-
-
 #: sha256 of the canonical-text left sides at (3/2, 5/2), nmax 6, recorded when
 #: privault_q summed each Dowling polynomial from its own size-n triangle,
 #: genfunc_second subtracted one product at a time and the defining relations
@@ -335,10 +274,6 @@ LHS_SHA256 = {
         "c0b3c2286baa492c777fbb4a2a75f57bb61181e645c366ad1d372279188903ec",
     ("-1/2", IdentityId.PRIVAULT_Q):
         "cb7bdfd816ee2756eab3bae54794d39a501214dbf34e0e598ec8a0529f4e761a",
-    ("0.5", IdentityId.PRIVAULT_Q):
-        "dcb97b39d0bff8048f940d39fe3b537f38090d4a893c6bea09cfc1552d11a359",
-    ("-0.5", IdentityId.PRIVAULT_Q):
-        "ca2227e1d4d7468e9a357a6468045968b10dfc793e0f86bcfcb6f8b62be5acbd",
     ("symbolic", IdentityId.GENFUNC_SECOND):
         "d6b201580e9bdb6ce5f522da17c80957e2a69d54b3e76eb8ec51c898cf94d999",
     ("1/2", IdentityId.GENFUNC_SECOND):
@@ -351,20 +286,12 @@ LHS_SHA256 = {
         "9ad69d8a59beab55fa5b792043d1bff0292c9ea4317cab457640756dd1b20d54",
     ("-1/2", IdentityId.DEFINING_FIRST):
         "371854e997d49c60b93841521420de240d87ffe708000cec4ebb50f665dfdffa",
-    ("0.5", IdentityId.DEFINING_FIRST):
-        "91d2135dd49966bf2b32d59f6c2e01602ec297b85cf77014b4023cc13918265c",
-    ("-0.5", IdentityId.DEFINING_FIRST):
-        "221b0ef6c24239b787b3414674d53ea4703ba3a18374ab59c6903c8d45a18286",
     ("symbolic", IdentityId.DEFINING_SECOND):
         "2943e24edbcf503bebe3bb8297fe2e88dcc42f10fbd53b2bc060fec3f8517bcd",
     ("1/2", IdentityId.DEFINING_SECOND):
         "beb72b417685935c489f8e4431c151ce6e095f108051487f17eab3bae826c383",
     ("-1/2", IdentityId.DEFINING_SECOND):
         "c787e752423441ec25d85741a28546313f783fa82e18d01841a2b13c417456dd",
-    ("0.5", IdentityId.DEFINING_SECOND):
-        "3b44ea3a32be9c202414f57a231c6d6e88b28a39cec29a4bf8987c4f16ea820c",
-    ("-0.5", IdentityId.DEFINING_SECOND):
-        "976520fcf41a49a0bbd9c8c067d5161b1eef465ac7aab9a8d5cb4f0d0918bba3",
 }
 
 
@@ -373,17 +300,11 @@ def test_left_sides_are_pinned(q, identity):
     assert _rhs_digest(q, identity, "lhs") == LHS_SHA256[q, identity]
 
 
-def _bits(value):
-    """value itself in an exact mode; its exact bits, as .hex(), in float mode."""
-    return value.hex() if isinstance(value, float) else value
-
-
-@pytest.mark.parametrize("mode", [SYMBOLIC, RationalQ(Fraction(1, 2)), RationalQ(Fraction(-1, 2)),
-                                  FloatQ(0.5), FloatQ(-0.5)],
-                         ids=["symbolic", "1/2", "-1/2", "float 0.5", "float -0.5"])
+@pytest.mark.parametrize("mode", [SYMBOLIC, RationalQ(Fraction(1, 2)), RationalQ(Fraction(-1, 2))],
+                         ids=["symbolic", "1/2", "-1/2"])
 def test_per_cell_functions_give_the_checkers_sides(mode):
     # The checkers read rows of one triangle; the public per-cell functions
-    # build a triangle per n.  Both must give the same sides, bit for bit.
+    # build a triangle per n.  Both must give the same sides.
     params = WhitneyParams(Fraction(3, 2), Fraction(5, 2), mode)
     relations = {IdentityId.DEFINING_FIRST: (0, defining_first),
                  IdentityId.DEFINING_SECOND: (1, defining_second)}
@@ -392,15 +313,15 @@ def test_per_cell_functions_give_the_checkers_sides(mode):
         assert len(reports) == (DEFINING_ELL_CAP + 1) * 9
         for rep in reports:
             ell, n = rep.point["ell"], rep.point["n"]
-            sides = [_bits(rep.lhs), _bits(rep.rhs)]
-            assert [_bits(side) for side in relation(params, ell, n)] == sides
+            sides = (rep.lhs, rep.rhs)
+            assert relation(params, ell, n) == sides
             check = defining_relation_check(params, ell, n)[pick]
-            assert [_bits(check.lhs), _bits(check.rhs)] == sides
+            assert (check.lhs, check.rhs) == sides
     reports = verify(IdentityId.PRIVAULT_Q, params, 8)
     assert len(reports) == 9 * len(identities.PRIVAULT_X_VALUES)
     for rep in reports:
         x = Fraction(rep.point["x"])
-        assert _bits(rep.lhs) == _bits(dowling_polynomial(params, rep.point["n"], x))
+        assert rep.lhs == dowling_polynomial(params, rep.point["n"], x)
 
 
 #: (nmax, triangles built of the (first, second) kind, cells built of each kind)
@@ -471,25 +392,35 @@ def test_orthogonality_holds_at_zero_m(qmode, r):
     assert reports and all(rep.passed for rep in reports)
 
 
-def test_genfunc_requires_exact_mode():
-    with pytest.raises(IncompatibleModeError):
-        verify(IdentityId.GENFUNC_SECOND, WhitneyParams(1, 1, FloatQ(0.5)), 4)
+#: Every route to an identity check, each called at a float-mode point.
+EXACT_ONLY_CALLS = {
+    **{f"verify {identity.value}": lambda params, identity=identity: verify(identity, params, 4)
+       for identity in IdentityId},
+    "verify_all": lambda params: verify_all(params, 4),
+    "defining_first": lambda params: defining_first(params, 2, 4),
+    "defining_second": lambda params: defining_second(params, 2, 4),
+    "defining_relation_check": lambda params: defining_relation_check(params, 2, 4),
+}
 
 
-def test_float_mode_smoke():
-    params = WhitneyParams(2, 1, FloatQ(0.37))
-    for identity in (IdentityId.VERTICAL_SECOND, IdentityId.BOUNDARY,
-                     IdentityId.DEFINING_SECOND, IdentityId.CONVO_SECOND_B):
-        assert all(rep.passed for rep in verify(identity, params, 4))
+@pytest.mark.parametrize("call", list(EXACT_ONLY_CALLS.values()), ids=list(EXACT_ONLY_CALLS))
+def test_inexact_mode_raises_before_any_triangle(monkeypatch, call):
+    # A check passes only on exact equality, so float mode is refused up front.
+    def forbidden(*args):
+        raise AssertionError("a triangle was built")
+
+    for name in ("_first_rows", "_second_rows"):
+        monkeypatch.setattr(whitney, name, forbidden)
+    with pytest.raises(IncompatibleModeError, match=r"exact mode, not FloatQ\(q0=0\.5\)"):
+        call(WhitneyParams(Fraction(3, 2), Fraction(5, 2), FloatQ(0.5)))
 
 
-@pytest.mark.parametrize("mode", [SYMBOLIC, RationalQ(Fraction(-1, 2)), FloatQ(0.5)],
-                         ids=["symbolic", "q=-1/2", "float 0.5"])
+@pytest.mark.parametrize("mode", [SYMBOLIC, RationalQ(Fraction(-1, 2))], ids=["symbolic", "q=-1/2"])
 def test_defining_relation_check_gives_the_catalogue_reports(mode):
     # The public per-point check and the catalogue reach the defining relations
     # by two routes; both must give the same identity, point, sides and verdict.
     params = WhitneyParams(Fraction(3, 2), Fraction(5, 2), mode)
-    nmax = 5 if mode.is_exact else 10  # float rounding fails some checks by nmax 10
+    nmax = 5
     catalogue = [rep for identity in (IdentityId.DEFINING_FIRST, IdentityId.DEFINING_SECOND)
                  for rep in verify(identity, params, nmax)]
     direct = [rep for ell in range(DEFINING_ELL_CAP + 1) for n in range(nmax + 1)
@@ -497,8 +428,6 @@ def test_defining_relation_check_gives_the_catalogue_reports(mode):
     # repr shows every field, the point's key order included.
     assert sorted(map(repr, direct)) == sorted(map(repr, catalogue))
     assert len(direct) == 2 * (DEFINING_ELL_CAP + 1) * (nmax + 1)
-    if not mode.is_exact:
-        assert {rep.passed for rep in direct} == {True, False}
 
 
 def test_report_json_shape():
@@ -521,8 +450,7 @@ def test_verify_all_small():
 
 
 PARITY_MODES = {"symbolic": SYMBOLIC, "1/2": RationalQ(Fraction(1, 2)),
-                "-1/2": RationalQ(Fraction(-1, 2)), "float 0.5": FloatQ(0.5),
-                "float 0.9": FloatQ(0.9)}
+                "-1/2": RationalQ(Fraction(-1, 2))}
 
 
 def _assert_verdict_parity(identity, params, nmax) -> int:
@@ -534,8 +462,7 @@ def _assert_verdict_parity(identity, params, nmax) -> int:
     assert result.failing == [i for i, rep in enumerate(reports) if not rep.passed]
 
     def fields(reps):
-        return [(rep.identity, rep.point, _bits(rep.lhs), _bits(rep.rhs), rep.passed)
-                for rep in reps]
+        return [(rep.identity, rep.point, rep.lhs, rep.rhs, rep.passed) for rep in reps]
 
     direct = [report.checked(identity.value, params, *cell) for cell in result.cells]
     assert fields(reports) == fields(direct) == fields(result[:])
@@ -544,16 +471,11 @@ def _assert_verdict_parity(identity, params, nmax) -> int:
     return len(result.failing)
 
 
-def _parity_identities(mode):
-    return [identity for identity in IdentityId
-            if mode.is_exact or identity is not IdentityId.GENFUNC_SECOND]
-
-
 @pytest.mark.parametrize("mode", list(PARITY_MODES.values()), ids=list(PARITY_MODES))
 def test_judged_checks_match_their_reports(mode):
     params = WhitneyParams(Fraction(3, 2), Fraction(5, 2), mode)
     for nmax in range(7):
-        for identity in _parity_identities(mode):
+        for identity in IdentityId:
             assert _assert_verdict_parity(identity, params, nmax) == 0
 
 
@@ -561,15 +483,7 @@ def test_judged_checks_match_their_reports(mode):
 def test_judged_failures_match_their_reports(corrupt_rows, mode):
     corrupt_rows("second")
     params = WhitneyParams(Fraction(3, 2), Fraction(5, 2), mode)
-    assert sum(_assert_verdict_parity(identity, params, 4)
-               for identity in _parity_identities(mode)) > 0
-
-
-def test_judged_rounding_failures_match_their_reports():
-    # At q = 0.9 rounding alone fails some orthogonality and defining_first checks.
-    params = WhitneyParams(Fraction(3, 2), Fraction(5, 2), FloatQ(0.9))
-    assert sum(_assert_verdict_parity(identity, params, 10)
-               for identity in _parity_identities(params.qmode)) == 58
+    assert sum(_assert_verdict_parity(identity, params, 4) for identity in IdentityId) > 0
 
 
 def test_default_grid_contents():
@@ -871,6 +785,13 @@ def test_hankel_probe_rational_q():
     assert isinstance(rows[Fraction(1)], tuple) and len(rows[Fraction(1)]) == 4
     assert hankel_probe(1, [0, 1], Fraction(1, 2), 2) == {
         Fraction(0): (Fraction(1), Fraction(1, 2)), Fraction(1): (Fraction(1), Fraction(1, 2))}
+
+
+@pytest.mark.parametrize("r_values", [[0, 0], [Fraction(0), Fraction(0, 3)]], ids=str)
+def test_hankel_probe_rejects_a_repeated_r_value(r_values):
+    # Rows are keyed by Fraction(r), so a repeat would silently drop a row.
+    with pytest.raises(DomainError, match="^repeated r value 0$"):
+        hankel_probe(1, r_values, Fraction(1, 2), 2)
 
 
 def test_hankel_probe_singleton_trivial():

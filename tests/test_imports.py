@@ -115,14 +115,6 @@ def test_every_identity_report_is_built_by_the_one_pass_fail_rule():
         "report.py": ["checked"]}
 
 
-def test_the_float_tolerance_is_assigned_in_one_module():
-    holders = [path.name for path in SOURCES
-               if any(isinstance(node, ast.Name) and node.id == "FLOAT_REL_TOL"
-                      and isinstance(node.ctx, ast.Store)
-                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))]
-    assert holders == ["report.py"]
-
-
 def _absolute_imports(path: pathlib.Path) -> list[str]:
     """Top-level names of the modules that path imports absolutely, anywhere in it."""
     names = []

@@ -426,13 +426,14 @@ def test_orthogonality_small():
 def test_oracles_do_not_use_the_fused_sum(monkeypatch, mode):
     # The triangle builders, the closed forms, the tableau sums and the
     # Dowling functions check or feed the checkers that use sum_of_products,
-    # so they must not share it: each still runs with the primitive removed.
+    # so they must not share it: each still runs with the primitive forbidden.
+    # FloatQ has no sum_of_products; the patch gives it a forbidden one.
     from qwhitney.tableaux import tableau_sum_first, tableau_sum_second
 
     def forbidden(terms):
         raise AssertionError("sum_of_products called")
 
-    monkeypatch.setattr(type(mode), "sum_of_products", staticmethod(forbidden))
+    monkeypatch.setattr(type(mode), "sum_of_products", staticmethod(forbidden), raising=False)
     params = WhitneyParams(Fraction(3, 2), Fraction(5, 2), mode)
     for build in (whitney._first_rows, whitney._second_rows):
         build.__wrapped__(params, 5, 0)
