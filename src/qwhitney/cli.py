@@ -35,7 +35,7 @@ from .identities import (
     identity_id,
     verify,
 )
-from .modes import SYMBOLIC, canonical_text, parse_qmode, parse_scalar
+from .modes import SYMBOLIC, canonical_text, parse_qmode
 from .qcore import TERM_CAP
 from .qdist import (MOMENT_NMAX, MOMENT_REL_TOL, QDistSpec, moment_pairs, pmf_walk,
                     sample_batches, sample_by_search)
@@ -160,10 +160,6 @@ def table_document(triangle) -> dict:
     }
 
 
-def render_table_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def render_table_csv(doc: dict) -> str:
     rows: dict[int, list[str]] = {}
     for cell in doc["rows"]:
@@ -177,17 +173,9 @@ def parse_table_document(text: str) -> dict:
     with _unlimited_int_text():
         mode = SYMBOLIC if doc["qmode"] == "symbolic" else parse_qmode(str(doc["q0"]))
         doc["parsed_values"] = {
-            (cell["n"], cell["k"]): parse_scalar(cell["value"], mode) for cell in doc["rows"]
+            (cell["n"], cell["k"]): mode.parse(cell["value"]) for cell in doc["rows"]
         }
     return doc
-
-
-def _emit(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def run_table(args) -> int:
@@ -197,19 +185,25 @@ def run_table(args) -> int:
     params = WhitneyParams(args.m, args.r, mode)
     build = whitney_first_triangle if args.kind == "first" else whitney_second_triangle
     doc = table_document(build(params, args.nmax))
-    render = render_table_json if args.format == "json" else render_table_csv
-    _emit(render(doc), args.out)
+    text = json.dumps(doc, indent=2) + "\n" if args.format == "json" else render_table_csv(doc)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     return 0
 
 
 def _load_grid(source: str) -> list[tuple[Fraction, Fraction]]:
     if source == "default":
         return list(DEFAULT_GRID)
-    with open(source, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(source, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except ValueError as exc:
-            raise DomainError(f"--grid {source}: not JSON: {exc}") from None
+    except OSError as exc:
+        raise DomainError(f"--grid {source}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise DomainError(f"--grid {source}: not JSON: {exc}") from None
     if not isinstance(raw, list) or not all(
             isinstance(entry, list) and len(entry) == 2 for entry in raw):
         raise DomainError(f"--grid {source}: expected a JSON list of [m, r] pairs")

@@ -35,14 +35,21 @@ def _exact_fraction(x, what: str) -> Fraction:
 class _FixedQ(Record):
     """q fixed to q0, a nonzero number or the formal variable; every value has q0's type.
 
-    q-powers and q-integers are memoised per instance, keyed by the int.
+    A mode's differences are data: `point`, its part of a report point as
+    (key, value) pairs; `parse`, the inverse of `canonical_text` for its values;
+    `is_exact`; and `of`, which injects a constant.  q-powers and q-integers
+    are memoised per instance, keyed by the int.
     """
 
-    __slots__ = ("q0", "_powers", "_ints")
+    __slots__ = ("q0", "point", "_powers", "_ints")
     _fields = ("q0",)
+    is_exact = True
 
-    def __init__(self, q0):
-        self._set(q0=q0, _powers={}, _ints={})
+    def __init__(self, q0, point: tuple):
+        self._set(q0=q0, point=point, _powers={}, _ints={})
+
+    def of(self, x) -> Fraction:
+        return _exact_fraction(x, "exact-mode constant")
 
     def q_power(self, e: int):
         p = self._powers.get(e)
@@ -72,8 +79,7 @@ class _SymbolicQ(_FixedQ):
 
     __slots__ = ()
 
-    tag = "symbolic"
-    is_exact = True
+    parse = staticmethod(parse_laurent)
 
     def q_int(self, n: int) -> LaurentPoly:
         return qcore.q_integer(n)
@@ -83,12 +89,6 @@ class _SymbolicQ(_FixedQ):
 
     sum_of_products = staticmethod(laurent.sum_of_products)
 
-    def of(self, x) -> Fraction:
-        return _exact_fraction(x, "symbolic-mode constant")
-
-    def describe(self) -> dict:
-        return {"qmode": self.tag}
-
     def __repr__(self):
         return "SYMBOLIC"
 
@@ -96,7 +96,7 @@ class _SymbolicQ(_FixedQ):
         return "SYMBOLIC"  # copy and pickle keep the singleton
 
 
-SYMBOLIC = _SymbolicQ(q_monomial(1))
+SYMBOLIC = _SymbolicQ(q_monomial(1), (("qmode", "symbolic"),))
 
 
 class RationalQ(_FixedQ):
@@ -104,14 +104,13 @@ class RationalQ(_FixedQ):
 
     __slots__ = ()
 
+    parse = Fraction
+
     def __init__(self, q0):
         q0 = _exact_fraction(q0, "rational q0")
         if q0 == 0:
             raise ValueError("rational mode needs q0 != 0")
-        super().__init__(q0)
-
-    tag = "rational"
-    is_exact = True
+        super().__init__(q0, (("qmode", "rational"), ("q0", str(q0))))
 
     @staticmethod
     def sum_of_products(terms) -> Fraction:
@@ -137,32 +136,20 @@ class RationalQ(_FixedQ):
                 num += n * (den // d)
         return Fraction(num, den)
 
-    def of(self, x) -> Fraction:
-        return _exact_fraction(x, "rational-mode constant")
-
-    def describe(self) -> dict:
-        return {"qmode": self.tag, "q0": str(self.q0)}
-
 
 class FloatQ(_FixedQ):
     """q fixed to a nonzero float; every value is a float."""
 
     __slots__ = ()
 
+    parse = of = float
+    is_exact = False
+
     def __init__(self, q0):
         q0 = float(q0)
         if q0 == 0.0:
             raise ValueError("float mode needs q0 != 0")
-        super().__init__(q0)
-
-    tag = "float"
-    is_exact = False
-
-    def of(self, x) -> float:
-        return float(x)
-
-    def describe(self) -> dict:
-        return {"qmode": self.tag, "q0": self.q0}
+        super().__init__(q0, (("qmode", "float"), ("q0", q0)))
 
 
 QMode = _SymbolicQ | RationalQ | FloatQ
@@ -183,15 +170,6 @@ def canonical_text(value: Scalar) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     raise TypeError(f"cannot render {type(value).__name__}")
-
-
-def parse_scalar(text: str, mode: QMode) -> Scalar:
-    """Inverse of canonical_text for values produced under the given mode."""
-    if mode.tag == "symbolic":
-        return parse_laurent(text)
-    if mode.tag == "rational":
-        return Fraction(text)
-    return float(text)
 
 
 def divide_exact(num: Scalar, den: Scalar):

@@ -28,7 +28,7 @@ from operator import add, mul, sub
 
 from .errors import IncompatibleModeError, ZeroMError
 from .laurent import LaurentPoly
-from .modes import SYMBOLIC, FloatQ, QMode, Scalar, divide_exact
+from .modes import SYMBOLIC, QMode, Scalar, divide_exact
 from .qcore import (
     complete_homogeneous,
     elementary_symmetric,
@@ -52,11 +52,11 @@ class WhitneyParams(Record):
     _fields = ("m", "r", "qmode")
 
     def __init__(self, m, r, qmode: QMode = SYMBOLIC):
-        allow_float = isinstance(qmode, FloatQ)
+        allow_float = not qmode.is_exact
         m = _as_fraction(m, allow_float, "m")
         r = _as_fraction(r, allow_float, "r")
         self._set(m=m, r=r, qmode=qmode, _weights={},
-                  _prefix={"m": str(m), "r": str(r), **qmode.describe()})
+                  _prefix={"m": str(m), "r": str(r), **dict(qmode.point)})
 
     def weight(self, i: int) -> Scalar:
         """m [i]_q + r in this mode's scalars."""

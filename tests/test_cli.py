@@ -348,6 +348,15 @@ def test_verify_rejects_a_grid_file_that_is_not_json(tmp_path, capsys, content, 
     assert (code, out, err) == (2, "", f"qwhitney: --grid {path}: not JSON: {reason}\n")
 
 
+@pytest.mark.parametrize("name, reason", [(".", "Is a directory"),
+                                          ("missing.json", "No such file or directory")])
+def test_verify_rejects_a_grid_file_it_cannot_open(tmp_path, capsys, name, reason):
+    path = tmp_path / name
+    code, out, err = run(capsys, "verify", "--suite", "boundary", "--nmax", "1",
+                         "--grid", str(path))
+    assert (code, out, err) == (2, "", f"qwhitney: --grid {path}: {reason}\n")
+
+
 @pytest.mark.parametrize("values, repeat", [("0,0", "0"), ("0,1,0/3", "0"), ("1/2,2/4", "1/2")])
 def test_hankel_rejects_a_repeated_r_value(capsys, values, repeat):
     code, out, err = run(capsys, "hankel", "--m", "1", "--r-values", values,

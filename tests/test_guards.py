@@ -30,7 +30,6 @@ from qwhitney import (
     whitney_second_alternating,
 )
 from qwhitney.errors import DomainError
-from qwhitney.modes import parse_scalar
 from qwhitney.qdist import QDistSpec
 from qwhitney.whitney import defining_first
 
@@ -53,7 +52,7 @@ GUARDS = {
                 TypeError("unsupported operand type(s) for /: 'LaurentPoly' and 'str'")),
     "eq_str": (lambda: Q == "x", False),
     "canonical_text": (lambda: canonical_text(object()), TypeError("cannot render object")),
-    "parse_scalar_float": (lambda: parse_scalar("0.5", FloatQ(0.5)), 0.5),
+    "float_mode_parse": (lambda: FloatQ(0.5).parse("0.5"), 0.5),
     "q_factorial": (lambda: q_factorial(-1), ValueError("q_factorial needs n >= 0")),
     "elementary_symmetric": (lambda: elementary_symmetric([1, 2], -1),
                              ValueError("elementary_symmetric needs k >= 0")),

@@ -3,8 +3,9 @@
 Each module uses only the public names of the other package modules, and
 the pmf walk's mass floor, the series tolerance, the series term cap and
 the Laurent division-by-zero error are each written in one place, as are
-the Laurent convolution and normal form and the identity pass/fail rule.
-The package imports nothing outside the standard library.
+the Laurent convolution and normal form, the identity pass/fail rule and
+the question of which class a scalar mode is.  The package imports nothing
+outside the standard library.
 """
 
 import ast
@@ -113,6 +114,35 @@ def test_every_identity_report_is_built_by_the_one_pass_fail_rule():
     builders = {path.name: _callers(path, "IdentityReport") for path in SOURCES}
     assert {name: owners for name, owners in builders.items() if owners} == {
         "report.py": ["checked"]}
+
+
+MODE_CLASSES = {"_SymbolicQ", "RationalQ", "FloatQ"}
+
+
+def _mode_class_questions(path: pathlib.Path) -> list[str]:
+    """Lines of path that read `.tag` or call isinstance/issubclass against a mode class."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr == "tag":
+            found.append(f"{node.lineno}: .tag")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("isinstance", "issubclass") and len(node.args) == 2):
+            names = {getattr(sub, "id", getattr(sub, "attr", None))
+                     for sub in ast.walk(node.args[1])}
+            found += [f"{node.lineno}: {node.func.id} {name}"
+                      for name in sorted(names & MODE_CLASSES)]
+    return found
+
+
+def test_only_the_modes_module_asks_a_mode_for_its_class(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import modes\nfrom .modes import FloatQ\nx = isinstance(m, FloatQ)\n"
+                     "y = isinstance(m, (int, modes.RationalQ))\nz = m.tag\n"
+                     "w = isinstance(m, LaurentPoly)\n", encoding="utf-8")
+    assert _mode_class_questions(probe) == [
+        "3: isinstance FloatQ", "4: isinstance RationalQ", "5: .tag"]
+    askers = {path.name: _mode_class_questions(path) for path in SOURCES}
+    assert {name: lines for name, lines in askers.items() if lines and name != "modes.py"} == {}
 
 
 def _absolute_imports(path: pathlib.Path) -> list[str]:

@@ -1,6 +1,8 @@
-"""The fused `sum_of_products` of each exact mode against the plain loop, and
-`divide_exact` on ints."""
+"""The fused `sum_of_products` of each exact mode against the plain loop,
+`divide_exact` on ints, and each mode's `parse` and report-point data."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -96,6 +98,20 @@ def test_sum_of_products_examples():
 def test_symbolic_q_powers_are_the_monomials():
     for e in range(-6, 7):
         assert SYMBOLIC.q_power(e) == q_monomial(e)
+
+
+@pytest.mark.parametrize("mode, values", [
+    (SYMBOLIC, [ZERO, Fraction(-7, 12) * q_monomial(-3) + Fraction(10**40, 3) * q_monomial(5)]),
+    (RationalQ(Fraction(-1, 2)), [Fraction(0), Fraction(-7, 12), Fraction(10**40 + 1, 3)]),
+    (FloatQ(0.5), [0.0, -1 / 3, 0.1, 5e-324, 1.7976931348623157e308]),
+], ids=["symbolic", "rational", "float"])
+def test_each_mode_parses_its_canonical_text_and_copies_keep_its_data(mode, values):
+    for value in values:
+        parsed = mode.parse(canonical_text(value))
+        assert type(parsed) is type(value) and parsed == value
+    for clone in (copy.copy(mode), copy.deepcopy(mode), pickle.loads(pickle.dumps(mode))):
+        assert type(clone) is type(mode) and clone == mode
+        assert (clone.q0, clone.point, clone.parse) == (mode.q0, mode.point, mode.parse)
 
 
 def test_divide_exact_on_ints():

@@ -88,13 +88,19 @@ def test_warm_tables_leave_equality_hash_and_repr_alone(mode):
 
 
 def test_point_is_a_fresh_dict_per_report():
-    params = WhitneyParams(Fraction(3, 2), Fraction(5, 2), RationalQ(Fraction(-1, 2)))
-    first = params.point(n=1, k=0)
-    assert first == {"m": "3/2", "r": "5/2", "qmode": "rational", "q0": "-1/2", "n": 1, "k": 0}
-    assert list(first) == ["m", "r", "qmode", "q0", "n", "k"]
-    first["m"] = "changed"
-    assert params.point(n=2) == {"m": "3/2", "r": "5/2", "qmode": "rational", "q0": "-1/2",
-                                 "n": 2}
+    for mode, part in [(RationalQ(Fraction(-1, 2)), [("qmode", "rational"), ("q0", "-1/2")]),
+                       (SYMBOLIC, [("qmode", "symbolic")]),
+                       (FloatQ(0.5), [("qmode", "float"), ("q0", 0.5)])]:
+        params = WhitneyParams(Fraction(3, 2), Fraction(5, 2), mode)
+        prefix = [("m", "3/2"), ("r", "5/2"), *part]
+        first = params.point(n=1, k=0)
+        assert list(first.items()) == [*prefix, ("n", 1), ("k", 0)]
+        assert [type(value) for value in first.values()] == [
+            type(value) for _, value in prefix] + [int, int]
+        first["m"] = first["qmode"] = "changed"
+        first.pop("q0", None)
+        assert list(params.point(n=2).items()) == [*prefix, ("n", 2)]
+        assert list(mode.point) == part
 
 
 def test_triangle_cache_hits_for_a_fresh_equal_params():
