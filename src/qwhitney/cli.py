@@ -8,9 +8,9 @@ Subcommands:
     hankel   compare Hankel transforms of Dowling sequences across r values
 
 Exit codes: 0 success / all checks pass, 1 a verified violation, 2 bad
-arguments or domain errors, 3 an internal error (its traceback goes to
-stderr).  Rationals are written `p`, `-p`, or `p/q` with q > 0; floats are
-printed with 17 significant digits.
+arguments, a package error (QWhitneyError) or a file error, 3 any other
+exception, an internal error whose traceback goes to stderr.  Rationals are
+written `p`, `-p`, or `p/q` with q > 0; floats have 17 significant digits.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .identities import (
     identity_id,
     verify,
 )
-from .modes import SYMBOLIC, canonical_text, parse_qmode
+from .modes import SYMBOLIC, FloatQ, RationalQ, canonical_text, parse_qmode
 from .qcore import TERM_CAP
 from .qdist import (MOMENT_NMAX, MOMENT_REL_TOL, QDistSpec, moment_pairs, pmf_walk,
                     sample_batches, sample_by_search)
@@ -171,7 +171,11 @@ def parse_table_document(text: str) -> dict:
     """Parse a JSON table back; adds parsed scalars under 'parsed_values'."""
     doc = json.loads(text)
     with _unlimited_int_text():
-        mode = SYMBOLIC if doc["qmode"] == "symbolic" else parse_qmode(str(doc["q0"]))
+        qmode = doc["qmode"]
+        if qmode not in ("symbolic", "rational", "float"):
+            raise DomainError(f"unknown qmode {qmode!r}")
+        mode = (SYMBOLIC if qmode == "symbolic" else
+                RationalQ(Fraction(doc["q0"])) if qmode == "rational" else FloatQ(doc["q0"]))
         doc["parsed_values"] = {
             (cell["n"], cell["k"]): mode.parse(cell["value"]) for cell in doc["rows"]
         }
@@ -469,7 +473,7 @@ def main(argv=None) -> int:
             return 0 if exc.code in (0, None) else 2
         try:
             return args.func(args)
-        except (QWhitneyError, ValueError, ZeroDivisionError, OSError) as exc:
+        except (QWhitneyError, OSError) as exc:
             print(f"qwhitney: {exc}", file=sys.stderr)
             return 2
         except Exception:

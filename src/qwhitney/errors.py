@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Every error the package raises on purpose derives from `QWhitneyError`, so a
-caller (the CLI among them) can tell them from faults with one except clause.
-Each also keeps its standard-library base for callers that catch those.
+Every error a command raises on purpose is a `QWhitneyError`, so the CLI
+tells them from faults with one except clause.  Each also keeps its
+standard-library base for callers that catch those.
 """
 
 

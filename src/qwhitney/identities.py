@@ -1,11 +1,11 @@
 """Catalogue of checkable identities, plus binomial and Hankel transforms.
 
 Every identity in the catalogue compares a left side against an independently
-computed right side at explicit index/parameter points.  A new identity is a
+computed right side at explicit index/parameter points.  Each is a module-level
 generator cells(params, nmax) that yields one (indices, lhs, rhs) per check,
-indices being a dict such as {"n": n, "k": k}; `_checker` turns its stream into
-a `report.Checks`, which judges each check as it is made and builds a check's
-IdentityReport, through `report.checked`, only when it is read.
+indices being a dict such as {"n": n, "k": k}; a generator that serves several
+identities takes a table key first.  `_CHECKERS` binds each key and wraps each
+generator in `_checker`, whose `report.Checks` judges each check as it is made.
 
 The convolution identities internally use shifted parameter families: the
 summand triangles belong to (m q^s, m [s]_q + r) for a shift s derived from
@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate, product
 from math import comb, lcm
 from operator import add, mul, sub
@@ -111,32 +111,28 @@ _RECURRENCES = {
 }
 
 
-def _check_recurrence(identity: IdentityId) -> Callable:
+def _recurrence(identity: IdentityId, params, nmax):
     kind, layout, op, index, b, s = _RECURRENCES[identity]
     vertical = layout == "vertical"
-
-    def cells(params, nmax):
-        build = whitney_first_triangle if kind == "first" else whitney_second_triangle
-        last = nmax if vertical else nmax + 1
-        # A horizontal left side on row n needs row n+1: one extra base row.
-        rows = build(params, last).rows
-        mode = params.qmode
-        acc = []
-        for n in range(last):
-            if vertical:
-                acc.append(0)
-            else:
-                acc = [0] * (n + 2)
-            for k in range(n + 1) if vertical else range(n, -1, -1):
-                t = rows[n][k] if vertical else rows[n + 1][k + 1]
-                e = b(n, k)
-                acc[k] = op(mode.q_power(e) * t if e else t,
-                            params.weight(index(n, k)) * acc[k if vertical else k + 1])
-            for k in range(n + 1):
-                yield ({"n": n, "k": k}, rows[n + 1][k + 1] if vertical else rows[n][k],
-                       mode.q_power(s(n, k)) * acc[k])
-
-    return _checker(identity, cells)
+    build = whitney_first_triangle if kind == "first" else whitney_second_triangle
+    last = nmax if vertical else nmax + 1
+    # A horizontal left side on row n needs row n+1: one extra base row.
+    rows = build(params, last).rows
+    mode = params.qmode
+    acc = []
+    for n in range(last):
+        if vertical:
+            acc.append(0)
+        else:
+            acc = [0] * (n + 2)
+        for k in range(n + 1) if vertical else range(n, -1, -1):
+            t = rows[n][k] if vertical else rows[n + 1][k + 1]
+            e = b(n, k)
+            acc[k] = op(mode.q_power(e) * t if e else t,
+                        params.weight(index(n, k)) * acc[k if vertical else k + 1])
+        for k in range(n + 1):
+            yield ({"n": n, "k": k}, rows[n + 1][k + 1] if vertical else rows[n][k],
+                   mode.q_power(s(n, k)) * acc[k])
 
 
 def _genfunc_second(params, nmax):
@@ -202,13 +198,10 @@ def _r_decomposition(params, kind: str, r1: Fraction, nmax: int):
             yield n, k, tri.value(n, k), rhs
 
 
-def _r_decomp(kind: str) -> Callable:
-    def cells(params, nmax):
-        for r1, r2 in _r_splits(params):
-            for n, k, lhs, rhs in _r_decomposition(params, kind, r1, nmax):
-                yield {"r1": str(r1), "r2": str(r2), "n": n, "k": k}, lhs, rhs
-
-    return cells
+def _r_decomp(kind: str, params, nmax):
+    for r1, r2 in _r_splits(params):
+        for n, k, lhs, rhs in _r_decomposition(params, kind, r1, nmax):
+            yield {"r1": str(r1), "r2": str(r2), "n": n, "k": k}, lhs, rhs
 
 
 def _r_shift(params, nmax):
@@ -237,57 +230,50 @@ _CONVOLUTIONS = {
 }
 
 
-def _convolution(identity: IdentityId) -> Callable:
+def _convolution(identity: IdentityId, params, nmax):
     kind, layout, shift, outer, inner = _CONVOLUTIONS[identity]
     row = layout == "row"
-
-    def cells(params, nmax):
-        build = whitney_first_triangle if kind == "first" else whitney_second_triangle
-        cap = min(nmax, HEAVY_CAP)
-        # A column layout's left side lives on row n+1: one extra base row,
-        # also asked for in the row layout, so tri is the shift-0 cache entry.
-        tri = build(params, cap + 1)
-        # Shift s is read to row cap - s in a row layout (row j <= cap - p, with
-        # s = p in first_a and s = k <= p in second_b) and to row cap + 1 - s in
-        # a column layout (row n - k <= cap - k, with s = k + 1 in first_b and
-        # s = p + 1 <= k + 1 in second_a); s <= cap + 1, so cap + 1 - s serves all four.
-        shifts = sorted({shift(p, k) for p in range(cap + 1) for k in range(cap + 1)})
-        shifted = {s: build(params, cap + 1 - s, shift=s).rows for s in shifts}
-        rows = tri.rows
-        mode = params.qmode
-        for p in range(cap + 1):
-            for j in range(cap - p + 1):
-                for n in range(p + j + 1) if row else range(p + j, cap + 1):
-                    # Only the k where both factors lie inside their triangles,
-                    # so the rows are indexed directly.
-                    band = range(max(0, n - j), min(n, p) + 1) if row else range(p, n - j + 1)
-                    terms = []
-                    for k in band:
-                        a = rows[p][k] if row else rows[k][p]
-                        if a:
-                            s = shifted[shift(p, k)]
-                            b = s[j][n - k] if row else s[n - k][j]
-                            e = inner(n, k)
-                            terms.append((mode.q_power(e), a, b) if e else (a, b))
-                    rhs = mode.sum_of_products(terms)
-                    e = outer(p, j)
-                    if e:
-                        rhs = mode.q_power(e) * rhs
-                    lhs = tri.value(p + j, n) if row else tri.value(n + 1, p + j + 1)
-                    yield {"p": p, "j": j, "n": n}, lhs, rhs
-
-    return cells
+    build = whitney_first_triangle if kind == "first" else whitney_second_triangle
+    cap = min(nmax, HEAVY_CAP)
+    # A column layout's left side lives on row n+1: one extra base row,
+    # also asked for in the row layout, so tri is the shift-0 cache entry.
+    tri = build(params, cap + 1)
+    # Shift s is read to row cap - s in a row layout (row j <= cap - p, with
+    # s = p in first_a and s = k <= p in second_b) and to row cap + 1 - s in
+    # a column layout (row n - k <= cap - k, with s = k + 1 in first_b and
+    # s = p + 1 <= k + 1 in second_a); s <= cap + 1, so cap + 1 - s serves all four.
+    shifts = sorted({shift(p, k) for p in range(cap + 1) for k in range(cap + 1)})
+    shifted = {s: build(params, cap + 1 - s, shift=s).rows for s in shifts}
+    rows = tri.rows
+    mode = params.qmode
+    for p in range(cap + 1):
+        for j in range(cap - p + 1):
+            for n in range(p + j + 1) if row else range(p + j, cap + 1):
+                # Only the k where both factors lie inside their triangles,
+                # so the rows are indexed directly.
+                band = range(max(0, n - j), min(n, p) + 1) if row else range(p, n - j + 1)
+                terms = []
+                for k in band:
+                    a = rows[p][k] if row else rows[k][p]
+                    if a:
+                        s = shifted[shift(p, k)]
+                        b = s[j][n - k] if row else s[n - k][j]
+                        e = inner(n, k)
+                        terms.append((mode.q_power(e), a, b) if e else (a, b))
+                rhs = mode.sum_of_products(terms)
+                e = outer(p, j)
+                if e:
+                    rhs = mode.q_power(e) * rhs
+                lhs = tri.value(p + j, n) if row else tri.value(n + 1, p + j + 1)
+                yield {"p": p, "j": j, "n": n}, lhs, rhs
 
 
-def _dowling_binomial(inverse: bool) -> Callable:
+def _dowling_binomial(inverse: bool, params, nmax):
     # D_(r+1) is the binomial transform of D_r; the inverse recovers D_r.
-    def cells(params, nmax):
-        seq = dowling_sequence(params, nmax)
-        up = dowling_sequence(WhitneyParams(params.m, params.r + 1, params.qmode), nmax)
-        lhs, rhs = (seq, binomial_inverse(up)) if inverse else (up, binomial_transform(seq))
-        yield from zip([{"n": n} for n in range(nmax + 1)], lhs, rhs)
-
-    return cells
+    seq = dowling_sequence(params, nmax)
+    up = dowling_sequence(WhitneyParams(params.m, params.r + 1, params.qmode), nmax)
+    lhs, rhs = (seq, binomial_inverse(up)) if inverse else (up, binomial_transform(seq))
+    yield from zip([{"n": n} for n in range(nmax + 1)], lhs, rhs)
 
 
 def _orthogonality(params, nmax):
@@ -326,32 +312,27 @@ def _privault_q(params, nmax):
             yield {"n": n, "x": str(x)}, lhs, rhs
 
 
-def _defining(kind: str) -> Callable:
-    def cells(params, nmax):
-        for ell in range(DEFINING_ELL_CAP + 1):
-            for n, sides in enumerate(defining_sides(kind, params, ell, nmax)):
-                yield ({"ell": ell, "n": n}, *sides)
-
-    return cells
+def _defining(kind: str, params, nmax):
+    for ell in range(DEFINING_ELL_CAP + 1):
+        for n, sides in enumerate(defining_sides(kind, params, ell, nmax)):
+            yield ({"ell": ell, "n": n}, *sides)
 
 
-_CHECKERS: dict[IdentityId, Callable] = {
-    **{identity: _check_recurrence(identity) for identity in _RECURRENCES},
-    **{identity: _checker(identity, cells) for identity, cells in [
-        (IdentityId.GENFUNC_SECOND, _genfunc_second),
-        (IdentityId.BOUNDARY, _boundary),
-        (IdentityId.R_DECOMP_FIRST, _r_decomp("first")),
-        (IdentityId.R_DECOMP_SECOND, _r_decomp("second")),
-        (IdentityId.R_SHIFT, _r_shift),
-        *[(identity, _convolution(identity)) for identity in _CONVOLUTIONS],
-        (IdentityId.DOWLING_BINOMIAL_FWD, _dowling_binomial(False)),
-        (IdentityId.DOWLING_BINOMIAL_INV, _dowling_binomial(True)),
-        (IdentityId.ORTHOGONALITY, _orthogonality),
-        (IdentityId.PRIVAULT_Q, _privault_q),
-        (IdentityId.DEFINING_FIRST, _defining("first")),
-        (IdentityId.DEFINING_SECOND, _defining("second")),
-    ]},
-}
+_CHECKERS = {identity: _checker(identity, cells) for identity, cells in [
+    *[(identity, partial(_recurrence, identity)) for identity in _RECURRENCES],
+    (IdentityId.GENFUNC_SECOND, _genfunc_second),
+    (IdentityId.BOUNDARY, _boundary),
+    (IdentityId.R_DECOMP_FIRST, partial(_r_decomp, "first")),
+    (IdentityId.R_DECOMP_SECOND, partial(_r_decomp, "second")),
+    (IdentityId.R_SHIFT, _r_shift),
+    *[(identity, partial(_convolution, identity)) for identity in _CONVOLUTIONS],
+    (IdentityId.DOWLING_BINOMIAL_FWD, partial(_dowling_binomial, False)),
+    (IdentityId.DOWLING_BINOMIAL_INV, partial(_dowling_binomial, True)),
+    (IdentityId.ORTHOGONALITY, _orthogonality),
+    (IdentityId.PRIVAULT_Q, _privault_q),
+    (IdentityId.DEFINING_FIRST, partial(_defining, "first")),
+    (IdentityId.DEFINING_SECOND, partial(_defining, "second")),
+]}
 
 
 def identity_id(name) -> IdentityId:
@@ -363,11 +344,11 @@ def identity_id(name) -> IdentityId:
 
 
 def check_nmax(nmax: int) -> None:
-    """ValueError unless 0 <= nmax <= DEFAULT_NMAX_CEILING, the range `verify` takes."""
+    """DomainError unless 0 <= nmax <= DEFAULT_NMAX_CEILING, the range `verify` takes."""
     if nmax < 0:
-        raise ValueError("nmax must be >= 0")
+        raise DomainError("nmax must be >= 0")
     if nmax > DEFAULT_NMAX_CEILING:
-        raise ValueError(f"nmax {nmax} exceeds the ceiling {DEFAULT_NMAX_CEILING}")
+        raise DomainError(f"nmax {nmax} exceeds the ceiling {DEFAULT_NMAX_CEILING}")
 
 
 def verify(identity, params: WhitneyParams, nmax: int = DEFAULT_NMAX_CEILING) -> Checks:
@@ -511,15 +492,16 @@ def hankel_probe(m, r_values: Sequence, q0, order: int) -> dict:
     under it (Layman, "The Hankel transform and some of its properties",
     J. Integer Seq. 4, 2001).  So the transforms coincide for any rational
     r values; the probe computes each independently, in the order of
-    r_values, for the caller to compare.  A repeated r value is a
-    DomainError, since its row would replace the earlier one.
+    r_values, for the caller to compare.  m, each r and q0 are ints or
+    Fractions, as `WhitneyParams` and `RationalQ` take them; a repeated r
+    value is a DomainError, since its row would replace the earlier one.
     """
-    mode = RationalQ(Fraction(q0))
+    mode = RationalQ(q0)
     rows = {}
-    for r in map(Fraction, r_values):
-        if r in rows:
-            raise DomainError(f"repeated r value {r}")
-        params = WhitneyParams(Fraction(m), r, mode)
+    for r in r_values:
+        params = WhitneyParams(m, r, mode)
+        if params.r in rows:
+            raise DomainError(f"repeated r value {params.r}")
         seq = dowling_sequence(params, 2 * order - 2 if order else 0)
-        rows[r] = tuple(hankel_transform(seq, order))
+        rows[params.r] = tuple(hankel_transform(seq, order))
     return rows

@@ -20,7 +20,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import laurent, qcore
-from .laurent import LaurentPoly, as_laurent, parse_laurent, q_monomial
+from .errors import DomainError
+from .laurent import LaurentPoly, parse_laurent, q_monomial
 from .record import Record
 
 Scalar = int | Fraction | float | LaurentPoly
@@ -109,7 +110,7 @@ class RationalQ(_FixedQ):
     def __init__(self, q0):
         q0 = _exact_fraction(q0, "rational q0")
         if q0 == 0:
-            raise ValueError("rational mode needs q0 != 0")
+            raise DomainError("rational mode needs q0 != 0")
         super().__init__(q0, (("qmode", "rational"), ("q0", str(q0))))
 
     @staticmethod
@@ -148,7 +149,7 @@ class FloatQ(_FixedQ):
     def __init__(self, q0):
         q0 = float(q0)
         if q0 == 0.0:
-            raise ValueError("float mode needs q0 != 0")
+            raise DomainError("float mode needs q0 != 0")
         super().__init__(q0, (("qmode", "float"), ("q0", q0)))
 
 
@@ -173,14 +174,11 @@ def canonical_text(value: Scalar) -> str:
 
 
 def divide_exact(num: Scalar, den: Scalar):
-    """Division that is exact in exact modes and plain / on floats."""
-    if type(num) is int and type(den) is int and den:
-        quo, rem = divmod(num, den)
-        if not rem:
-            return quo
-    if isinstance(num, LaurentPoly) or isinstance(den, LaurentPoly):
-        return as_laurent(num).exact_div(den)
-    if isinstance(num, float) or isinstance(den, float):
-        return num / den
-    q = Fraction(num) / Fraction(den)
-    return q.numerator if q.denominator == 1 else q
+    """num / den, exact in exact modes; a whole quotient of two ints is an int."""
+    if type(num) is int and type(den) is int:
+        if den:
+            quo, rem = divmod(num, den)
+            if not rem:
+                return quo
+        return Fraction(num) / Fraction(den)
+    return num / den

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from qwhitney import cli, identities, qdist
 from qwhitney.cli import main, parse_table_document, render_table_csv, table_document
-from qwhitney.errors import InexactDivisionError
-from qwhitney.modes import RationalQ
+from qwhitney.errors import DomainError, InexactDivisionError
+from qwhitney.modes import SYMBOLIC, FloatQ, RationalQ
 from qwhitney.qdist import SAMPLE_BATCH
 from qwhitney.whitney import WhitneyParams, whitney_second_triangle
 
@@ -90,6 +90,23 @@ def test_table_rational_mode_document(capsys):
 
     tri = whitney_first_triangle(params, 2)
     assert doc["parsed_values"][(2, 1)] == tri.value(2, 1)
+
+
+@pytest.mark.parametrize("mode", [SYMBOLIC, RationalQ(Fraction(-1, 3)), FloatQ(0.3)],
+                         ids=["symbolic", "rational", "float"])
+def test_a_table_document_parses_back_in_its_own_mode(mode):
+    # At q0 = 0.3 cell (3, 2) is 1.335, which a rational mode would read as 267/200.
+    tri = whitney_second_triangle(WhitneyParams(Fraction(3, 2), Fraction(1, 3), mode), 3)
+    doc = parse_table_document(json.dumps(table_document(tri)))
+    assert len(doc["parsed_values"]) == 10
+    for (n, k), value in doc["parsed_values"].items():
+        assert (value, type(value)) == (tri.value(n, k), type(tri.value(n, k))), (n, k)
+
+
+def test_a_table_document_of_an_unknown_mode_is_a_domain_error():
+    doc = table_document(whitney_second_triangle(WhitneyParams(1, 0), 1))
+    with pytest.raises(DomainError, match="^unknown qmode 'gf7'$"):
+        parse_table_document(json.dumps({**doc, "qmode": "gf7"}))
 
 
 def test_csv_and_json_share_canonical_values(capsys):

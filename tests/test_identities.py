@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import partial
 from operator import add, sub
 
 import pytest
@@ -198,7 +199,8 @@ def test_each_recurrence_entry_is_load_bearing(monkeypatch, identity, fault):
     clean = verify(identity, params, 4)
     faulty = RECURRENCE_FAULTS[fault](identities._RECURRENCES[identity])
     monkeypatch.setitem(identities._RECURRENCES, identity, faulty)
-    monkeypatch.setitem(identities._CHECKERS, identity, identities._check_recurrence(identity))
+    checker = identities._checker(identity, partial(identities._recurrence, identity))
+    monkeypatch.setitem(identities._CHECKERS, identity, checker)
     patched = verify(identity, params, 4)
     assert [rep.point for rep in patched] == [rep.point for rep in clean]
     assert any(a.rhs != b.rhs for a, b in zip(patched, clean))
@@ -792,6 +794,13 @@ def test_hankel_probe_rejects_a_repeated_r_value(r_values):
     # Rows are keyed by Fraction(r), so a repeat would silently drop a row.
     with pytest.raises(DomainError, match="^repeated r value 0$"):
         hankel_probe(1, r_values, Fraction(1, 2), 2)
+
+
+@pytest.mark.parametrize("args", [(1.5, [0, 1], Fraction(1, 10)), (1, [0, 0.5], Fraction(1, 10)),
+                                  (1, [0, 1], 0.1)], ids=["m", "r", "q0"])
+def test_hankel_probe_rejects_a_float_as_the_rest_of_the_library_does(args):
+    with pytest.raises(TypeError):
+        hankel_probe(*args, 2)
 
 
 def test_hankel_probe_singleton_trivial():

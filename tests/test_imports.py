@@ -4,8 +4,9 @@ Each module uses only the public names of the other package modules, and
 the pmf walk's mass floor, the series tolerance, the series term cap and
 the Laurent division-by-zero error are each written in one place, as are
 the Laurent convolution and normal form, the identity pass/fail rule and
-the question of which class a scalar mode is.  The package imports nothing
-outside the standard library.
+the question of which class a scalar mode is.  Every catalogue identity is
+a module-level generator.  The package imports nothing outside the standard
+library.
 """
 
 import ast
@@ -143,6 +144,27 @@ def test_only_the_modes_module_asks_a_mode_for_its_class(tmp_path):
         "3: isinstance FloatQ", "4: isinstance RationalQ", "5: .tag"]
     askers = {path.name: _mode_class_questions(path) for path in SOURCES}
     assert {name: lines for name, lines in askers.items() if lines and name != "modes.py"} == {}
+
+
+def _nested_functions(path: pathlib.Path) -> list[str]:
+    """"outer.inner" for each function of path defined inside another, at any depth."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for outer in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(outer, defs):
+            found += [f"{outer.name}.{inner.name}" for inner in ast.walk(outer)
+                      if inner is not outer and isinstance(inner, defs)]
+    return found
+
+
+def test_every_catalogue_entry_is_a_module_level_generator(tmp_path):
+    # An entry that needs a table key takes it as an argument and the one
+    # _CHECKERS table binds it, so no factory closes a key over a nested cells.
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f():\n    def g():\n        async def h():\n            pass\n"
+                     "    x = lambda: 0\n", encoding="utf-8")
+    assert _nested_functions(probe) == ["f.g", "f.h", "g.h"]
+    assert _nested_functions(PACKAGE / "identities.py") == ["_checker.check"]
 
 
 def _absolute_imports(path: pathlib.Path) -> list[str]:

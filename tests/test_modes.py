@@ -1,5 +1,5 @@
 """The fused `sum_of_products` of each exact mode against the plain loop,
-`divide_exact` on ints, and each mode's `parse` and report-point data."""
+`divide_exact`, the domain guards, and each mode's `parse` and report-point data."""
 
 import copy
 import pickle
@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwhitney.errors import DomainError
+from qwhitney.identities import check_nmax
 from qwhitney.laurent import ZERO, LaurentPoly, q_monomial
 from qwhitney.modes import SYMBOLIC, FloatQ, RationalQ, canonical_text, divide_exact
 
@@ -124,9 +126,30 @@ def test_divide_exact_on_ints():
     assert divide_exact(-7, 2) == Fraction(-7, 2)
 
 
+def test_divide_exact_off_ints_is_the_values_own_division():
+    got = divide_exact(Fraction(6), Fraction(3))
+    assert (got, type(got)) == (2, Fraction)
+    assert divide_exact(q_monomial(3) * 6, 3) == q_monomial(3) * 2
+    assert divide_exact(q_monomial(3), q_monomial(1)) == q_monomial(2)
+    assert divide_exact(1.5, 0.5) == 3.0
+
+
 def test_divide_exact_by_int_zero_keeps_its_message():
     # The messages `Fraction` division gives; cli.main prints "qwhitney: <message>".
     for num, message in ((1, "Fraction(1, 0)"), (0, "Fraction(0, 0)"), (-3, "Fraction(-1, 0)")):
         with pytest.raises(ZeroDivisionError) as info:
             divide_exact(num, 0)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("guard, message", [
+    (lambda: RationalQ(0), "rational mode needs q0 != 0"),
+    (lambda: FloatQ(0.0), "float mode needs q0 != 0"),
+    (lambda: check_nmax(-1), "nmax must be >= 0"),
+    (lambda: check_nmax(13), "nmax 13 exceeds the ceiling 12"),
+], ids=["rational", "float", "negative nmax", "nmax ceiling"])
+def test_the_guards_a_command_reaches_raise_a_domain_error(guard, message):
+    # A package error, so the CLI exits 2; any other exception is a fault (exit 3).
+    with pytest.raises(DomainError) as info:
+        guard()
+    assert str(info.value) == message

@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from qwhitney import cli, identities, qcore, report, whitney
+from qwhitney.errors import DomainError
 from qwhitney.identities import DEFAULT_GRID, IdentityId
 from qwhitney.report import Checks
 from test_mutants import _step_fault
@@ -102,9 +103,23 @@ def test_an_internal_error_at_a_worker_point_exits_three_as_one_process_does(
     assert _run(monkeypatch, capsys, argv, 2) == serial
 
 
+@pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
+def test_a_plain_value_or_zero_division_error_exits_three(monkeypatch, capsys, error):
+    # Only the package's own errors are usage errors; a standard one is a fault.
+    monkeypatch.setitem(identities._CHECKERS, IdentityId.BOUNDARY,
+                        _at({WORKER_POINT}, IdentityId.BOUNDARY, _raise(error, "checker fault")))
+    argv = ["verify", "--suite", "vertical_first,boundary", "--nmax", "3", "--q", "1/2"]
+    serial = _run(monkeypatch, capsys, argv, 1)
+    code, out, err = serial
+    assert (code, out) == (3, "vertical_first\t54\t0\n")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith(f"{error.__name__}: checker fault\nqwhitney: internal error\n")
+    assert _run(monkeypatch, capsys, argv, 2) == serial
+
+
 def test_a_domain_error_at_a_worker_point_exits_two_as_one_process_does(monkeypatch, capsys):
     # The internal error at index 2, this process's, comes after it in point order.
-    for point, fault in ((WORKER_POINT, _raise(ValueError, "no such point")),
+    for point, fault in ((WORKER_POINT, _raise(DomainError, "no such point")),
                          (OWN_POINT, _raise(TypeError, "checker fault"))):
         monkeypatch.setitem(identities._CHECKERS, IdentityId.R_SHIFT,
                             _at({point}, IdentityId.R_SHIFT, fault))
